@@ -50,6 +50,9 @@ class MetricsCollector:
         self.serves: List[ServeRecord] = []
         self.alerts: List[AlertEventRecord] = []
         self.stages: Dict[Tuple[int, int], StageRecord] = {}
+        #: job -> {stage id: record}, so one job's stages are found
+        #: without sorting every job's.
+        self._stages_by_job: Dict[int, Dict[int, StageRecord]] = {}
         self.jobs: Dict[int, JobRecord] = {}
         #: Every span ever opened, in open order (leaves are appended
         #: closed; container spans close in place).
@@ -74,12 +77,12 @@ class MetricsCollector:
         #: retry/speculation links between consecutive attempts.
         self._last_attempt_spans: Dict[Tuple[int, int, int], SpanRecord] = {}
         self._sinks: List = []
-        #: Per-(job, engine-label) cache of critical-path reports, so
-        #: the clarity aggregator, alert exemplar resolution, and xray
-        #: share one O(n log n) sweep per finished job instead of each
-        #: redoing it.  Invalidated whenever a span lands on (or closes
-        #: in) that job's trace.
-        self._critpath_cache: Dict[Tuple[int, str], object] = {}
+        #: job -> {engine label: critical-path report}, so the clarity
+        #: aggregator, alert exemplar resolution, and xray share one
+        #: O(n log n) sweep per finished job instead of each redoing it.
+        #: Invalidated, in O(1), whenever a span lands on (or closes in)
+        #: that job's trace.
+        self._critpath_cache: Dict[int, Dict[str, object]] = {}
         #: Callables invoked as ``fn(source, record)`` when an event
         #: record lands (source: "fault" | "health" | "driver" |
         #: "serve" | "alert").  The observability plane subscribes here
@@ -143,9 +146,7 @@ class MetricsCollector:
             job_id = int(trace_id[4:])
         except ValueError:
             return
-        stale = [key for key in self._critpath_cache if key[0] == job_id]
-        for key in stale:
-            del self._critpath_cache[key]
+        self._critpath_cache.pop(job_id, None)
 
     def job_trace_id(self, job_id: int) -> str:
         """The trace id under which a job's spans are recorded."""
@@ -268,8 +269,9 @@ class MetricsCollector:
         stage's span, capturing *why* this stage could not start
         earlier.
         """
-        self.stages[(job_id, stage_id)] = StageRecord(
+        record = self.stages[(job_id, stage_id)] = StageRecord(
             job_id, stage_id, name, num_tasks, start=now)
+        self._stages_by_job.setdefault(job_id, {})[stage_id] = record
         job_span = self._job_spans.get(job_id)
         trace_id = (job_span.trace_id if job_span is not None
                     else self.job_trace_id(job_id))
@@ -397,12 +399,12 @@ class MetricsCollector:
         xray diffs) wants the same report, so compute it once and
         invalidate if a late span ever lands on the trace.
         """
-        key = (job_id, engine)
-        report = self._critpath_cache.get(key)
+        reports = self._critpath_cache.setdefault(job_id, {})
+        report = reports.get(engine)
         if report is None:
             from repro.trace.critpath import critical_path
-            report = critical_path(self, job_id, engine=engine)
-            self._critpath_cache[key] = report
+            report = reports[engine] = critical_path(self, job_id,
+                                                     engine=engine)
         return report
 
     def job(self, job_id: int) -> JobRecord:
@@ -415,8 +417,8 @@ class MetricsCollector:
 
     def stage_records(self, job_id: int) -> List[StageRecord]:
         """Stage records of a job, ordered by stage id."""
-        return [record for (job, _), record in sorted(self.stages.items())
-                if job == job_id]
+        by_stage = self._stages_by_job.get(job_id, {})
+        return [by_stage[stage_id] for stage_id in sorted(by_stage)]
 
     def stage_monotasks(self, job_id: int,
                         stage_id: Optional[int] = None

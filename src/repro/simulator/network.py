@@ -10,10 +10,37 @@ This is the standard flow-level approximation used by cluster
 simulators: it captures exactly the effect the paper cares about --
 transfers from one machine contending with other flows from the same
 sender or to the same receiver (§3.3).
+
+Cost.  The fabric keeps its state incrementally: an ordered dict of
+live flows, a ``(src, dst)`` pair -> flows map, and per link an ordered
+dict of live flows plus the pairs that cross it.  Every flow of one pair
+crosses the same two links, so it always gets the same rate; the
+water-filling freezes whole pairs.  One rebalance costs O(links^2 +
+pairs) for the water-filling plus one tight O(flows) pass that banks
+each flow's progress, which also yields each pair's smallest remaining
+byte count and so the next completion deadline.
+
+Bit-identity rules.  The simulation must produce the same floats as the
+flow-by-flow water-filling it replaced (the determinism tests, the
+``BENCH_*.json`` invariants and the capsule hashes pin them).  Keep:
+
+* links visited in order of their oldest live flow, an uplink before
+  the downlink of the same flow -- the first-appearance order a scan
+  over the flow list sees, so ties between equal shares (the common
+  case with identical NICs) break the same way;
+* ``cap -= share`` applied once per frozen flow, never ``share * m``;
+* per-flow ``remaining`` banked at every rebalance (a per-pair virtual
+  clock would round differently);
+* the deadline as each pair's smallest ``remaining`` over its rate,
+  which is exact because dividing by a positive rate preserves order;
+* finished and failed flows handled in start order;
+* no coalescing of same-instant rebalances: each one may interrupt the
+  completion waiter, and the kernel's event count depends on it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import (Interrupted, LinkPartitionError, MachineFailure,
@@ -26,24 +53,60 @@ __all__ = ["Network", "Flow"]
 #: One-way latency charged at flow start (connection + first byte).
 FLOW_LATENCY_S = 0.0005
 
+_INF = float("inf")
+
 
 class Flow:
     """An active transfer of ``nbytes`` from ``src`` to ``dst``."""
 
-    __slots__ = ("src", "dst", "nbytes", "remaining", "rate", "last_update",
-                 "done", "label", "started_at")
+    __slots__ = ("src", "dst", "nbytes", "remaining", "done", "label",
+                 "started_at", "seq", "pair")
 
     def __init__(self, env: Environment, src: int, dst: int, nbytes: float,
-                 label: str = "") -> None:
+                 label: str = "", seq: int = 0) -> None:
         self.src = src
         self.dst = dst
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.last_update = env.now
         self.started_at = env.now
         self.done: Event = env.event()
         self.label = label
+        #: Start order; every per-flow order in the fabric follows it.
+        self.seq = seq
+        #: The ``_Pair`` this flow shares its rate with while in flight.
+        self.pair: Optional[_Pair] = None
+
+    @property
+    def rate(self) -> float:
+        """Current max-min fair rate (0.0 when not on the fabric)."""
+        return self.pair.rate if self.pair is not None else 0.0
+
+
+class _Pair:
+    """The live flows from ``src`` to ``dst``: one rate for all of them."""
+
+    __slots__ = ("src", "down", "flows", "rate", "low")
+
+    def __init__(self, src: int, dst: int) -> None:
+        self.src = src
+        #: Downlink key of ``dst`` (see ``Network._links``).
+        self.down = ~dst
+        #: Live flows in start order.
+        self.flows: List[Flow] = []
+        self.rate = 0.0
+        #: Smallest ``remaining`` among ``flows``.
+        self.low = _INF
+
+
+class _Link:
+    """One NIC direction while it carries flows."""
+
+    __slots__ = ("flows", "pairs")
+
+    def __init__(self) -> None:
+        #: Live flows by ``seq``, in start order.
+        self.flows: Dict[int, Flow] = {}
+        self.pairs: Dict[_Pair, None] = {}
 
 
 class Network:
@@ -53,7 +116,18 @@ class Network:
         self.env = env
         self._up_bps: Dict[int, float] = {}
         self._down_bps: Dict[int, float] = {}
-        self._flows: List[Flow] = []
+        #: Live flows by ``seq``, in start order.
+        self._flows: Dict[int, Flow] = {}
+        self._seq = itertools.count()
+        self._pairs: Dict[Tuple[int, int], _Pair] = {}
+        #: Links that carry flows.  Keys: uplink = machine_id, downlink =
+        #: ~machine_id (bit complement keeps them distinct ints).
+        self._links: Dict[int, _Link] = {}
+        #: Time every live flow's ``remaining`` was last banked at.
+        self._banked_at = env.now
+        #: Seconds from the last rate computation until its soonest
+        #: flow finishes.
+        self._soonest = _INF
         #: One persistent waiter process re-armed on every rebalance, so
         #: flow churn does not leave superseded waiters in the event heap.
         self._waiter: Optional[Process] = None
@@ -108,7 +182,7 @@ class Network:
         """Start a flow; the returned event fires when the last byte lands."""
         if src not in self._up_bps or dst not in self._down_bps:
             raise SimulationError(f"unregistered machine in flow {src}->{dst}")
-        flow = Flow(self.env, src, dst, nbytes, label)
+        flow = Flow(self.env, src, dst, nbytes, label, next(self._seq))
         if not (self._machine_up[src] and self._machine_up[dst]):
             flow.done.fail(MachineFailure(
                 f"flow {src}->{dst}: endpoint is down"))
@@ -122,8 +196,10 @@ class Network:
             # Local or empty: completes after the fixed latency only.
             self.env.process(self._deliver([flow]))
             return flow.done
-        self._flows.append(flow)
-        self._rebalance()
+        self._bank_progress()
+        self._add(flow)
+        self._compute_rates()
+        self._arm()
         return flow.done
 
     def _deliver(self, finished: List[Flow]) -> Generator:
@@ -141,99 +217,165 @@ class Network:
                 (self.env.now, flow.nbytes, flow.dst, flow.src))
             flow.done.succeed(flow)
 
+    # -- incremental state ----------------------------------------------------
+
+    def _link(self, link_id: int) -> _Link:
+        """The link's state, created (and its tracker marked busy) when it
+        takes its first flow."""
+        link = self._links.get(link_id)
+        if link is None:
+            link = self._links[link_id] = _Link()
+            if link_id >= 0:
+                self.tx_trackers[link_id].set_busy(1)
+            else:
+                self.rx_trackers[~link_id].set_busy(1)
+        return link
+
+    def _add(self, flow: Flow) -> None:
+        seq = flow.seq
+        self._flows[seq] = flow
+        up = self._link(flow.src)
+        down = self._link(~flow.dst)
+        key = (flow.src, flow.dst)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = _Pair(flow.src, flow.dst)
+            up.pairs[pair] = None
+            down.pairs[pair] = None
+        flow.pair = pair
+        pair.flows.append(flow)
+        if flow.remaining < pair.low:
+            pair.low = flow.remaining
+        up.flows[seq] = flow
+        down.flows[seq] = flow
+
+    def _drop(self, flows: List[Flow]) -> None:
+        """Take ``flows`` off the fabric (rates are left to the caller)."""
+        links = self._links
+        touched: Dict[_Pair, None] = {}
+        for flow in flows:
+            seq = flow.seq
+            del self._flows[seq]
+            pair = flow.pair
+            flow.pair = None
+            pair.flows.remove(flow)
+            touched[pair] = None
+            for link_id in (flow.src, ~flow.dst):
+                link = links[link_id]
+                del link.flows[seq]
+                if not pair.flows:
+                    del link.pairs[pair]
+                if not link.flows:
+                    del links[link_id]
+                    if link_id >= 0:
+                        self.tx_trackers[link_id].set_busy(0)
+                    else:
+                        self.rx_trackers[~link_id].set_busy(0)
+        for pair in touched:
+            if pair.flows:
+                pair.low = min(f.remaining for f in pair.flows)
+            else:
+                del self._pairs[(pair.src, ~pair.down)]
+
     # -- max-min fair rate allocation -----------------------------------------
 
     def _compute_rates(self) -> None:
         """Water-filling: repeatedly freeze the most-constrained link.
 
-        Incremental bookkeeping (per-link flow lists, counts, and caps
-        updated as flows freeze) keeps each recompute at
-        O(flows + links^2) rather than O(links * flows).
+        Each round takes the link with the smallest fair share
+        (capacity over unfrozen flows), gives that share to every
+        unfrozen pair on it, and charges the pairs' flows to their other
+        link.  Rounds visit at most every link once and each pair is
+        frozen once: O(links^2 + pairs), with the flows entering only
+        through the per-flow ``cap -= share`` that bit identity needs.
+        The pairs' smallest ``remaining`` over their new rates gives the
+        delay to the next completion.
         """
-        flows = self._flows
-        if not flows:
-            return
-        # Link keys: uplink = machine_id, downlink = ~machine_id (bit
-        # complement keeps them distinct ints -- cheaper than tuples).
-        by_link: Dict[int, List[Flow]] = {}
-        count: Dict[int, int] = {}
-        cap: Dict[int, float] = {}
-        for flow in flows:
-            flow.rate = -1.0  # pending marker
-            up, down = flow.src, ~flow.dst
-            entry = by_link.get(up)
-            if entry is None:
-                by_link[up] = [flow]
-                count[up] = 1
-                cap[up] = self._up_bps[flow.src] * self._up_factor[flow.src]
+        links = self._links
+        up_bps, up_factor = self._up_bps, self._up_factor
+        down_bps, down_factor = self._down_bps, self._down_factor
+        # Per link, in order of its oldest flow: [unfrozen flows, capacity
+        # left for them].
+        unfrozen: Dict[int, list] = {}
+        for _, link_id in sorted(
+                (2 * next(iter(link.flows)) + (link_id < 0), link_id)
+                for link_id, link in links.items()):
+            if link_id >= 0:
+                cap = up_bps[link_id] * up_factor[link_id]
             else:
-                entry.append(flow)
-                count[up] += 1
-            entry = by_link.get(down)
-            if entry is None:
-                by_link[down] = [flow]
-                count[down] = 1
-                cap[down] = (self._down_bps[flow.dst]
-                             * self._down_factor[flow.dst])
-            else:
-                entry.append(flow)
-                count[down] += 1
-        while count:
-            best_link = min(count, key=lambda l: cap[l] / count[l])
-            share = cap[best_link] / count[best_link]
+                cap = down_bps[~link_id] * down_factor[~link_id]
+            unfrozen[link_id] = [len(links[link_id].flows), cap]
+        for pair in self._pairs.values():
+            pair.rate = -1.0  # pending marker
+        soonest = _INF
+        while unfrozen:
+            # The first link with the smallest share, as min() picks.
+            share = _INF
+            for link_id, state in unfrozen.items():
+                fair = state[1] / state[0]
+                if fair < share:
+                    best_link, share = link_id, fair
             if share < 1e-6:
                 share = 1e-6
-            for flow in by_link[best_link]:
-                if flow.rate >= 0.0:
+            uplink = best_link >= 0
+            for pair in links[best_link].pairs:
+                if pair.rate >= 0.0:
                     continue
-                flow.rate = share
-                for link in (flow.src, ~flow.dst):
-                    if link == best_link:
-                        continue
-                    remaining = count.get(link)
-                    if remaining is None:
-                        continue
-                    if remaining == 1:
-                        del count[link]
-                        del cap[link]
-                    else:
-                        count[link] = remaining - 1
-                        cap[link] -= share
-            del count[best_link]
-            del cap[best_link]
+                pair.rate = share
+                due = pair.low / share
+                if due < soonest:
+                    soonest = due
+                other = pair.down if uplink else pair.src
+                state = unfrozen[other]
+                m = len(pair.flows)
+                n = state[0] - m
+                if n:
+                    state[0] = n
+                    # One rounding per flow, as flow-by-flow freezing did.
+                    cap = state[1] - share
+                    while m > 1:
+                        cap -= share
+                        m -= 1
+                    state[1] = cap
+                else:
+                    del unfrozen[other]
+            del unfrozen[best_link]
+        self._soonest = soonest
 
-    def _bank_progress(self) -> None:
+    def _bank_progress(self) -> Optional[List[Flow]]:
+        """Charge every flow for the bytes it moved since the last bank.
+
+        Also refreshes each pair's smallest ``remaining``.  Returns the
+        flows now within 1e-6 bytes of done, in start order, or None
+        when no time passed since the last bank.
+        """
         now = self.env.now
-        for flow in self._flows:
-            elapsed = now - flow.last_update
-            if elapsed > 0 and flow.rate > 0:
-                flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
-            flow.last_update = now
-
-    def _update_trackers(self) -> None:
-        rx_active = {m: 0 for m in self._down_bps}
-        tx_active = {m: 0 for m in self._up_bps}
-        for flow in self._flows:
-            rx_active[flow.dst] = 1
-            tx_active[flow.src] = 1
-        for machine, busy in rx_active.items():
-            tracker = self.rx_trackers[machine]
-            if tracker.busy != busy:
-                tracker.set_busy(busy)
-        for machine, busy in tx_active.items():
-            tracker = self.tx_trackers[machine]
-            if tracker.busy != busy:
-                tracker.set_busy(busy)
+        elapsed = now - self._banked_at
+        self._banked_at = now
+        if not elapsed > 0:
+            return None
+        for pair in self._pairs.values():
+            pair.low = _INF
+        finished = []
+        for flow in self._flows.values():
+            pair = flow.pair
+            left = flow.remaining - pair.rate * elapsed
+            if left <= 1e-6:
+                if left <= 0.0:
+                    left = 0.0
+                finished.append(flow)
+            flow.remaining = left
+            if left < pair.low:
+                pair.low = left
+        return finished
 
     def _rebalance(self) -> None:
         self._bank_progress()
         self._compute_rates()
-        self._update_trackers()
         self._arm()
 
     def _next_deadline(self) -> float:
-        return self.env.now + min(
-            f.remaining / max(f.rate, 1e-12) for f in self._flows)
+        return self.env.now + self._soonest
 
     def _arm(self) -> None:
         """(Re)aim the single waiter at the soonest-finishing flow.
@@ -265,9 +407,14 @@ class Network:
                     continue  # Re-armed at an earlier deadline.
                 if not self._flows:
                     break  # All in-flight flows failed while we slept.
-            self._bank_progress()
-            finished = [f for f in self._flows if f.remaining <= 1e-6]
+            finished = self._bank_progress()
+            if finished is None:
+                finished = [flow for flow in self._flows.values()
+                            if flow.remaining <= 1e-6]
             if not finished:
+                # Banking moved the pairs' smallest remaining.
+                self._soonest = min(pair.low / pair.rate
+                                    for pair in self._pairs.values())
                 soonest = self._next_deadline() - self.env.now
                 if soonest >= 1e-9:
                     # Rates dropped since we armed (new flows joined):
@@ -275,13 +422,12 @@ class Network:
                     self._wake_at = self.env.now + soonest
                     continue
                 # Float slack: force the closest flow to completion.
-                closest = min(self._flows, key=lambda f: f.remaining)
+                closest = min(self._flows.values(),
+                              key=lambda f: f.remaining)
                 closest.remaining = 0.0
                 finished = [closest]
-            for flow in finished:
-                self._flows.remove(flow)
+            self._drop(finished)
             self._compute_rates()
-            self._update_trackers()
             if self._flows:
                 self._wake_at = self._next_deadline()
             self.env.process(self._deliver(finished))
@@ -302,12 +448,10 @@ class Network:
         over the freed bandwidth.
         """
         self._bank_progress()
-        dead = [f for f in self._flows
+        dead = [f for f in self._flows.values()
                 if f.src == machine_id or f.dst == machine_id]
-        for flow in dead:
-            self._flows.remove(flow)
+        self._drop(dead)
         self._compute_rates()
-        self._update_trackers()
         self._arm()
         for flow in dead:
             flow.done.fail(MachineFailure(
@@ -348,11 +492,10 @@ class Network:
                 raise SimulationError(f"unregistered machine {machine_id}")
         self._partitions.add((src, dst))
         self._bank_progress()
-        dead = [f for f in self._flows if f.src == src and f.dst == dst]
-        for flow in dead:
-            self._flows.remove(flow)
+        pair = self._pairs.get((src, dst))
+        dead = list(pair.flows) if pair is not None else []
+        self._drop(dead)
         self._compute_rates()
-        self._update_trackers()
         self._arm()
         for flow in dead:
             flow.done.fail(LinkPartitionError(
@@ -370,7 +513,10 @@ class Network:
     # -- introspection for the performance model -------------------------------
 
     def rates_snapshot(self) -> Dict[str, float]:
-        """Current per-flow rates, keyed by label (for tests/debugging)."""
-        self._bank_progress()
-        self._compute_rates()
-        return {f.label or f"{f.src}->{f.dst}": f.rate for f in self._flows}
+        """Current per-flow rates, keyed by label (for tests/debugging).
+
+        Rates are recomputed after every change, so this only reads
+        them: peeking never moves the simulation.
+        """
+        return {f.label or f"{f.src}->{f.dst}": f.pair.rate
+                for f in self._flows.values()}

@@ -329,6 +329,28 @@ class TestCollectorCache:
             job_id, engine="monospark")
         assert default is ctx.metrics.critical_path_report(job_id)
 
+    def test_invalidation_keeps_other_jobs(self):
+        from repro.trace.spans import SPAN_MONOTASK, SpanRecord
+        from repro.workloads.wordcount import word_count
+        ctx = self._run_job()
+        kept = ctx.last_result.job_id
+        word_count(ctx)
+        touched = ctx.last_result.job_id
+        assert kept != touched
+        metrics = ctx.metrics
+        kept_reports = [metrics.critical_path_report(kept),
+                        metrics.critical_path_report(kept,
+                                                     engine="monospark")]
+        stale = metrics.critical_path_report(touched)
+        metrics.record_span(SpanRecord(
+            span_id=10 ** 9, trace_id=f"job-{touched}", parent_id=None,
+            kind=SPAN_MONOTASK, name="late", start=0.0, end=0.1,
+            machine_id=0, resource="cpu", phase="compute"))
+        assert metrics.critical_path_report(kept) is kept_reports[0]
+        assert metrics.critical_path_report(
+            kept, engine="monospark") is kept_reports[1]
+        assert metrics.critical_path_report(touched) is not stale
+
 
 class TestSinkSatellites:
     def test_span_sink_context_manager_flush_and_schema(self, tmp_path):
