@@ -238,9 +238,11 @@ def write_chrome_trace(metrics: MetricsCollector, path: str,
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".trace-",
                                     suffix=".json.tmp")
     try:
+        # One-shot ``dumps`` (C encoder) and one write; the streaming
+        # ``json.dump`` writes the same bytes token by token in Python.
         with os.fdopen(fd, "w") as handle:
-            json.dump({"traceEvents": events,
-                       "displayTimeUnit": "ms"}, handle)
+            handle.write(json.dumps({"traceEvents": events,
+                                     "displayTimeUnit": "ms"}))
         os.replace(tmp_path, path)
     except BaseException:
         try:

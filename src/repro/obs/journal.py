@@ -12,18 +12,19 @@ one bounded stream of :class:`JournalEvent` rows with a uniform
 
 The journal is bounded (oldest dropped first, with a drop counter, so
 an always-on serving run cannot grow it without limit) and optionally
-tees every event to a :class:`JsonlJournalSink` as it arrives, in the
-spirit of ``JsonlSpanSink`` -- one JSON object per line, no trailing
-buffering, deterministic key order.
+tees every event to a :class:`JsonlJournalSink` as it arrives.  Like
+``JsonlSpanSink`` and run capsules, the sink writes through
+:class:`repro.jsonl.JsonlWriter` -- one JSON object per line, encoded
+in one shot, no trailing buffering, deterministic key order.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import IO, List, Optional, Union
 
 from repro.errors import ObsError
+from repro.jsonl import JsonlWriter
 
 __all__ = ["JournalEvent", "EventJournal", "JsonlJournalSink",
            "fold_event", "severity_of", "SEVERITY_ORDER", "JOURNAL_SCHEMA"]
@@ -207,52 +208,23 @@ class EventJournal:
         return "\n".join(event.format() for event in rows)
 
 
-class JsonlJournalSink:
+class JsonlJournalSink(JsonlWriter):
     """Streams journal rows to a JSON-lines file as they happen.
 
-    Mirrors ``repro.trace.JsonlSpanSink``: opened eagerly, one compact
-    JSON object per line (stamped with :data:`JOURNAL_SCHEMA`),
-    idempotent :meth:`close`, usable as a context manager, and rows
-    arriving after close are dropped silently (shutdown races are not
-    errors).
+    A :class:`repro.jsonl.JsonlWriter`, like ``repro.trace.JsonlSpanSink``:
+    one compact JSON object per line stamped with :data:`JOURNAL_SCHEMA`,
+    on a path or a borrowed handle; idempotent :meth:`close`, usable as
+    a context manager, and rows arriving after close are dropped.
     """
 
     def __init__(self, path_or_handle: Union[str, IO[str]]) -> None:
-        if isinstance(path_or_handle, str):
-            self._handle: Optional[IO[str]] = open(
-                path_or_handle, "w", encoding="utf-8")
-            self._owns_handle = True
-        else:
-            self._handle = path_or_handle
-            self._owns_handle = False
-        self.written = 0
+        super().__init__(path_or_handle, JOURNAL_SCHEMA)
+
+    @property
+    def written(self) -> int:
+        """Rows written so far."""
+        return sum(self.counts.values())
 
     def write(self, event: JournalEvent) -> None:
         """Serialize one row (no-op after close)."""
-        if self._handle is None:
-            return
-        record = event.to_dict()
-        record["schema"] = JOURNAL_SCHEMA
-        json.dump(record, self._handle, separators=(",", ":"))
-        self._handle.write("\n")
-        self.written += 1
-
-    def flush(self) -> None:
-        """Push buffered rows to the OS (no-op after close)."""
-        if self._handle is not None:
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close (idempotent)."""
-        if self._handle is None:
-            return
-        self._handle.flush()
-        if self._owns_handle:
-            self._handle.close()
-        self._handle = None
-
-    def __enter__(self) -> "JsonlJournalSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.write_record(event.to_dict())

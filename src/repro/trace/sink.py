@@ -7,17 +7,15 @@ holding it.  A sink attached via ``MetricsCollector.add_span_sink``
 receives every span when it *closes* (spans are emitted complete, never
 half-open) and every link when it is recorded.
 
-Every emitted line carries a ``schema`` version field
-(:data:`TRACE_SCHEMA`) so downstream readers -- the capsule loader in
-``repro.xray`` and ``scripts/validate_trace.py`` -- can refuse lines
-they do not understand instead of misparsing them.
+Lines go through :class:`repro.jsonl.JsonlWriter` and carry a
+``schema`` version field (:data:`TRACE_SCHEMA`), so readers -- the
+capsule loader in ``repro.xray`` and ``scripts/validate_trace.py`` --
+can refuse lines they do not understand instead of misparsing them.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, Optional
-
+from repro.jsonl import JsonlWriter
 from repro.trace.spans import SpanLink, SpanRecord, link_to_json, span_to_json
 
 __all__ = ["JsonlSpanSink", "TRACE_SCHEMA"]
@@ -27,7 +25,7 @@ __all__ = ["JsonlSpanSink", "TRACE_SCHEMA"]
 TRACE_SCHEMA = 1
 
 
-class JsonlSpanSink:
+class JsonlSpanSink(JsonlWriter):
     """Writes one JSON object per line: finished spans and links.
 
     Usage::
@@ -43,42 +41,22 @@ class JsonlSpanSink:
     """
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w")
-        self.spans_written = 0
-        self.links_written = 0
+        super().__init__(path, TRACE_SCHEMA)
+
+    @property
+    def spans_written(self) -> int:
+        """Span lines written so far."""
+        return self.counts.get("span", 0)
+
+    @property
+    def links_written(self) -> int:
+        """Link lines written so far."""
+        return self.counts.get("link", 0)
 
     def span_finished(self, span: SpanRecord) -> None:
         """Write one closed span."""
-        if self._write(span_to_json(span)):
-            self.spans_written += 1
+        self.write_record(span_to_json(span))
 
     def link_recorded(self, link: SpanLink) -> None:
         """Write one causal link."""
-        if self._write(link_to_json(link)):
-            self.links_written += 1
-
-    def _write(self, record: dict) -> bool:
-        if self._handle is None:
-            return False  # Closed: late stragglers are dropped, not an error.
-        record["schema"] = TRACE_SCHEMA
-        json.dump(record, self._handle, separators=(",", ":"))
-        self._handle.write("\n")
-        return True
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS (no-op after close)."""
-        if self._handle is not None:
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlSpanSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.write_record(link_to_json(link))

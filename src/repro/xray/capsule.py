@@ -19,18 +19,19 @@ version):
 * last line -- the **manifest**: per-type line counts, so a loader can
   prove the capsule is complete before trusting it.
 
-Determinism: key order is fixed, floats round-trip through ``repr``
-precision, and nothing derived from the wall clock is ever written --
-so two same-seed runs produce byte-identical capsules, which is the
-property CI pins.
+Determinism: lines go through :class:`repro.jsonl.JsonlWriter` (fixed
+key order, one-shot encode, ``repr``-exact floats) and nothing derived
+from the wall clock is ever written -- so two same-seed runs produce
+byte-identical capsules, which is the property CI pins.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CapsuleError
+from repro.jsonl import JsonlWriter
 from repro.metrics.events import JobRecord, ServeRecord
 from repro.obs.journal import JournalEvent, fold_event
 from repro.trace.spans import (SpanLink, SpanRecord, link_to_json,
@@ -61,11 +62,6 @@ _SERVE_FIELDS = ("tenant", "template", "arrival", "job_id", "dispatched",
 #: the machine's, not the seed's, and would break the byte-identity of
 #: same-seed capsules that CI pins.
 WALL_CLOCK_METRICS = ("repro_obs_self_overhead_ms_per_s",)
-
-
-def _dump_line(handle: IO[str], record: Dict[str, Any]) -> None:
-    json.dump(record, handle, separators=(",", ":"))
-    handle.write("\n")
 
 
 def _serve_to_json(record: ServeRecord) -> Dict[str, Any]:
@@ -120,7 +116,7 @@ def _job_from_json(line: Dict[str, Any]) -> JobRecord:
                      start=line["start"], end=line["end"])
 
 
-class RunRecorder:
+class RunRecorder(JsonlWriter):
     """Streams one run into a capsule file via the collector hooks.
 
     Usage::
@@ -142,14 +138,12 @@ class RunRecorder:
 
     def __init__(self, path: str, engine: str = "", seed: int = 0,
                  config: Optional[Dict[str, Any]] = None) -> None:
-        self.path = path
+        super().__init__(path, CAPSULE_SCHEMA)
         self.engine = engine
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        self._counts: Dict[str, int] = {}
         self._metrics = None
         self._finalized = False
-        self._write({"type": "capsule", "engine": engine, "seed": seed,
-                     "config": dict(sorted((config or {}).items()))})
+        self.write_record({"type": "capsule", "engine": engine, "seed": seed,
+                           "config": dict(sorted((config or {}).items()))})
 
     # -- streaming (collector hooks) -----------------------------------------------
 
@@ -162,17 +156,17 @@ class RunRecorder:
 
     def span_finished(self, span: SpanRecord) -> None:
         """Span-sink hook: stream one finished span into the capsule."""
-        self._write(span_to_json(span))
+        self.write_record(span_to_json(span))
 
     def link_recorded(self, link: SpanLink) -> None:
         """Span-sink hook: stream one causal link into the capsule."""
-        self._write(link_to_json(link))
+        self.write_record(link_to_json(link))
 
     def _on_event(self, source: str, record) -> None:
         if source == "serve":
-            self._write(_serve_to_json(record))
+            self.write_record(_serve_to_json(record))
         else:
-            self._write(_journal_to_json(fold_event(source, record)))
+            self.write_record(_journal_to_json(fold_event(source, record)))
 
     # -- finalization --------------------------------------------------------------
 
@@ -186,7 +180,7 @@ class RunRecorder:
         metrics = metrics if metrics is not None else self._metrics
         if metrics is not None:
             for job_id in sorted(metrics.jobs):
-                self._write(_job_to_json(metrics.jobs[job_id]))
+                self.write_record(_job_to_json(metrics.jobs[job_id]))
         if telemetry is not None:
             store = getattr(telemetry, "store", telemetry)
             for name, labels in sorted(store.series()):
@@ -194,11 +188,11 @@ class RunRecorder:
                     continue
                 points = [[t, value]
                           for t, value in store.points(name, labels=labels)]
-                self._write({"type": "telemetry", "name": name,
-                             "labels": dict(labels), "points": points})
+                self.write_record({"type": "telemetry", "name": name,
+                                   "labels": dict(labels), "points": points})
         if clarity is not None:
             window = clarity.bottleneck()
-            self._write({
+            self.write_record({
                 "type": "clarity", "window_s": window.window_s,
                 "now": window.now, "jobs": window.jobs,
                 "attributable_jobs": window.attributable_jobs,
@@ -216,42 +210,22 @@ class RunRecorder:
             tenants = [{field: getattr(stats, field)
                         for field in _TENANT_FIELDS}
                        for stats in report.stats]
-            self._write({"type": "summary", "engine": report.engine_name,
-                         "duration_s": report.duration_s,
-                         "total_completed": report.total_completed,
-                         "tenants": tenants})
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            return  # closed: late stragglers are dropped, like the sinks
-        record["schema"] = CAPSULE_SCHEMA
-        _dump_line(self._handle, record)
-        kind = record["type"]
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS (no-op after close)."""
-        if self._handle is not None:
-            self._handle.flush()
+            self.write_record({"type": "summary",
+                               "engine": report.engine_name,
+                               "duration_s": report.duration_s,
+                               "total_completed": report.total_completed,
+                               "tenants": tenants})
 
     def close(self) -> None:
         """Write the manifest footer and close (idempotent)."""
         if self._handle is None:
             return
-        counts = {kind: self._counts.get(kind, 0) for kind in LINE_TYPES
+        counts = {kind: self.counts[kind] for kind in LINE_TYPES
                   if kind not in ("capsule", "manifest")
-                  and self._counts.get(kind)}
-        _dump_line(self._handle, {
+                  and self.counts.get(kind)}
+        super().close(footer={
             "type": "manifest", "schema": CAPSULE_SCHEMA, "counts": counts,
             "lines": sum(counts.values()) + 2})
-        self._handle.close()
-        self._handle = None
-
-    def __enter__(self) -> "RunRecorder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class Capsule:
@@ -433,10 +407,9 @@ class Capsule:
         bytes -- the round-trip property the tests pin, and the proof
         that parsing is lossless.
         """
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {k: v for k, v in self.header.items() if k != "schema"}
-            header["schema"] = CAPSULE_SCHEMA
-            _dump_line(handle, header)
+        with JsonlWriter(path, CAPSULE_SCHEMA) as writer:
+            writer.write_record({k: v for k, v in self.header.items()
+                                 if k != "schema"})
             for kind, payload in self._body:
                 if kind == "span":
                     record = span_to_json(payload)
@@ -454,14 +427,11 @@ class Capsule:
                               "labels": labels, "points": points}
                 else:  # clarity / summary
                     record = {"type": kind, **payload}
-                record["schema"] = CAPSULE_SCHEMA
-                _dump_line(handle, record)
-            manifest = {k: v for k, v in self.manifest.items()
-                        if k != "schema"}
-            manifest = {"type": "manifest", "schema": CAPSULE_SCHEMA,
-                        **{k: v for k, v in manifest.items()
-                           if k != "type"}}
-            _dump_line(handle, manifest)
+                writer.write_record(record)
+            writer.close(footer={
+                "type": "manifest", "schema": CAPSULE_SCHEMA,
+                **{k: v for k, v in self.manifest.items()
+                   if k not in ("type", "schema")}})
 
     def describe(self) -> str:
         """One human line: what this capsule holds."""

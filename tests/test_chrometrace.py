@@ -151,3 +151,15 @@ class TestWriteChromeTrace:
         write_chrome_trace(ctx.metrics, str(path))
         assert json.loads(path.read_text())["traceEvents"]
         assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+    def test_bytes_match_streaming_json_dump(self, tmp_path):
+        # The exporter encodes once and writes once; the file must equal
+        # what the streaming ``json.dump`` writes for the same object.
+        ctx = run_shuffle_job()
+        path = tmp_path / "trace.json"
+        write_chrome_trace(ctx.metrics, str(path))
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as handle:
+            json.dump({"traceEvents": trace_events(ctx.metrics),
+                       "displayTimeUnit": "ms"}, handle)
+        assert path.read_bytes() == reference.read_bytes()
