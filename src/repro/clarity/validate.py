@@ -10,8 +10,9 @@ re-runs) and reports worst-case relative error under 30%; the
 :data:`ERROR_ENVELOPE` here pins that envelope.
 
 Everything is deterministic: the same :class:`ClarityWorkload` yields
-byte-identical :class:`ValidationResult` JSON, which seeds the repo's
-benchmark trajectory (``BENCH_clarity.json``) and is diffed in CI.
+byte-identical :class:`ValidationResult` JSON, which is the repo's
+benchmark trajectory (``BENCH_clarity.json``, run by :data:`BENCH`)
+and is diffed exactly in CI.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from repro.errors import ClarityError
 from repro.metrics.utilization import percentile
 from repro.model.ideal import hardware_profile
 from repro.model.predictor import WhatIf
+from repro.trajectory import Bench
 from repro.workloads.scaling import scaled_memory_overrides
 
 __all__ = ["ClarityWorkload", "CandidateOutcome", "ValidationResult",
-           "run_clarity_serving", "validate_advisor", "ERROR_ENVELOPE"]
+           "run_clarity_serving", "validate_advisor", "ERROR_ENVELOPE",
+           "BENCH"]
 
 #: The paper's worst-case relative prediction error (§6.2).
 ERROR_ENVELOPE = 0.30
@@ -278,3 +281,25 @@ def validate_advisor(workload: ClarityWorkload = ClarityWorkload()
         advisor=advisor_report,
         bottleneck=aggregator.bottleneck(),
         outcomes=outcomes)
+
+
+def _run(repeats: int, committed: Optional[Dict]) -> Dict:
+    """The dict ``BENCH_clarity.json`` holds: one validation run.
+
+    The run has no wall-clock timing, so ``repeats`` is not used.
+    """
+    return validate_advisor(ClarityWorkload()).to_json()
+
+
+def _gate(result: Dict) -> List[str]:
+    """The advisor's ranking and worst p95 error must hold up."""
+    failures = []
+    if not result["ranking_matches"]:
+        failures.append("advisor ranking no longer matches ground truth")
+    if result["max_error_p95"] > ERROR_ENVELOPE:
+        failures.append(f"max_error_p95 {result['max_error_p95']} exceeds "
+                        f"the {ERROR_ENVELOPE} envelope")
+    return failures
+
+
+BENCH = Bench("clarity", _run, gate=_gate)

@@ -24,17 +24,18 @@ CI diffs the committed ``BENCH_controlplane.json`` exactly; the
 benchmark runs twice and raises on cross-run drift, making every
 invocation double as a determinism check.
 
-``scripts/bench_trajectory.py --bench controlplane`` runs exactly this
-code.
+``scripts/bench_trajectory.py --bench controlplane`` runs
+:data:`BENCH`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
-__all__ = ["ControlPlaneWorkload", "run_controlplane_benchmark",
-           "trajectory_summary"]
+from repro.trajectory import Bench, repeat_deterministic
+
+__all__ = ["ControlPlaneWorkload", "BENCH"]
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,6 @@ class ControlPlaneWorkload:
     #: The leader (highest id) dies, forcing an election too.
     crash_driver: int = 1
     crash_at: float = 20.0
-
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed, "tenants": self.tenants,
-            "control_service_s": self.control_service_s,
-            "scale_rate_per_s": self.scale_rate_per_s,
-            "scale_horizon_s": self.scale_horizon_s,
-            "scale_driver_counts": list(self.scale_driver_counts),
-            "crash_rate_per_s": self.crash_rate_per_s,
-            "crash_horizon_s": self.crash_horizon_s,
-            "crash_num_drivers": self.crash_num_drivers,
-            "crash_driver": self.crash_driver,
-            "crash_at": self.crash_at,
-        }
 
 
 def _plane(workload: ControlPlaneWorkload, num_drivers: int,
@@ -190,38 +175,20 @@ def _crash_invariants(workload: ControlPlaneWorkload,
     return invariants
 
 
-def run_controlplane_benchmark(
-        workload: Optional[ControlPlaneWorkload] = None,
-        repeats: int = 2) -> Dict:
-    """All invariants, verified byte-stable across repeats."""
-    if workload is None:
-        workload = ControlPlaneWorkload()
-    best: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        invariants = {
-            "driver_scaling": _scaling_invariants(workload),
-            "crash_failover_on": _crash_invariants(workload,
-                                                   failover=True),
-            "crash_failover_off": _crash_invariants(workload,
-                                                    failover=False),
-        }
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-    return best
-
-
-def trajectory_summary(invariants: Dict,
-                       workload: Optional[ControlPlaneWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The byte-stable JSON dict ``BENCH_controlplane.json`` holds."""
-    if workload is None:
-        workload = ControlPlaneWorkload()
+def _run(repeats: int, committed: Optional[Dict]) -> Dict:
+    """The dict ``BENCH_controlplane.json`` holds."""
+    workload = ControlPlaneWorkload()
+    invariants, _ = repeat_deterministic(lambda: ({
+        "driver_scaling": _scaling_invariants(workload),
+        "crash_failover_on": _crash_invariants(workload, failover=True),
+        "crash_failover_off": _crash_invariants(workload, failover=False),
+    }, None), repeats)
     return {
         "benchmark": "controlplane_failover",
-        "workload": workload.params(),
+        "workload": asdict(workload),
         "repeats": repeats,
         "invariants": invariants,
     }
+
+
+BENCH = Bench("controlplane", _run)

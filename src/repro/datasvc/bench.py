@@ -21,15 +21,17 @@ CI diffs the committed ``BENCH_datasvc.json`` *exactly*; the benchmark
 itself runs twice and raises on any cross-run drift, which makes every
 invocation double as a determinism check.
 
-``scripts/bench_trajectory.py --bench datasvc`` runs exactly this code.
+``scripts/bench_trajectory.py --bench datasvc`` runs :data:`BENCH`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["DataSvcWorkload", "run_datasvc_benchmark", "trajectory_summary"]
+from repro.trajectory import Bench, repeat_deterministic
+
+__all__ = ["DataSvcWorkload", "BENCH"]
 
 
 @dataclass(frozen=True)
@@ -53,20 +55,6 @@ class DataSvcWorkload:
     corrupt_node: int = 0
     corrupt_at: float = 0.004
 
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed, "records": self.records,
-            "num_partitions": self.num_partitions,
-            "num_nodes": self.num_nodes, "replication": self.replication,
-            "crash_machine": self.crash_machine,
-            "crash_scale": self.crash_scale,
-            "restart_after": self.restart_after,
-            "corrupt_node": self.corrupt_node,
-            "corrupt_at": self.corrupt_at,
-        }
-
 
 def _word_count(ctx, workload: DataSvcWorkload) -> List[Tuple[str, int]]:
     records = [f"w{i % 17} w{i % 11}" for i in range(workload.records)]
@@ -78,8 +66,8 @@ def _word_count(ctx, workload: DataSvcWorkload) -> List[Tuple[str, int]]:
                      .collect())
 
 
-def _run(workload: DataSvcWorkload, engine: str, disaggregated: bool,
-         plan=None):
+def _run_job(workload: DataSvcWorkload, engine: str, disaggregated: bool,
+             plan=None):
     """One job under one configuration; returns (ctx, service, results)."""
     from repro.api.context import AnalyticsContext
     from repro.cluster import hdd_cluster
@@ -117,15 +105,16 @@ def _engine_invariants(workload: DataSvcWorkload, engine: str) -> Dict:
     from repro.faults import (BlockCorruption, FaultPlan, MachineCrash,
                               StorageNodeCrash)
 
-    clean_ctx, _, expected = _run(workload, engine, disaggregated=False)
+    clean_ctx, _, expected = _run_job(workload, engine,
+                                      disaggregated=False)
     crash_at = _map_end(clean_ctx) * workload.crash_scale
     crash = FaultPlan([MachineCrash(at=crash_at,
                                     machine_id=workload.crash_machine,
                                     restart_after=workload.restart_after)])
 
-    colocated_ctx, _, colocated_results = _run(
+    colocated_ctx, _, colocated_results = _run_job(
         workload, engine, disaggregated=False, plan=crash)
-    datasvc_ctx, crash_svc, datasvc_results = _run(
+    datasvc_ctx, crash_svc, datasvc_results = _run_job(
         workload, engine, disaggregated=True, plan=crash)
     if colocated_results != expected or datasvc_results != expected:
         raise AssertionError(f"{engine}: crash run results diverged")
@@ -137,7 +126,7 @@ def _engine_invariants(workload: DataSvcWorkload, engine: str) -> Dict:
 
     corruption = FaultPlan([BlockCorruption(at=workload.corrupt_at,
                                             node_index=workload.corrupt_node)])
-    corrupt_ctx, corrupt_svc, corrupt_results = _run(
+    corrupt_ctx, corrupt_svc, corrupt_results = _run_job(
         workload, engine, disaggregated=True, plan=corruption)
     if corrupt_results != expected:
         raise AssertionError(f"{engine}: corruption run results diverged")
@@ -149,7 +138,7 @@ def _engine_invariants(workload: DataSvcWorkload, engine: str) -> Dict:
 
     node_crash = FaultPlan([StorageNodeCrash(at=workload.corrupt_at,
                                              node_index=workload.corrupt_node)])
-    node_ctx, node_svc, node_results = _run(
+    node_ctx, node_svc, node_results = _run_job(
         workload, engine, disaggregated=True, plan=node_crash)
     if node_results != expected:
         raise AssertionError(f"{engine}: storage-crash results diverged")
@@ -173,32 +162,18 @@ def _engine_invariants(workload: DataSvcWorkload, engine: str) -> Dict:
     }
 
 
-def run_datasvc_benchmark(workload: Optional[DataSvcWorkload] = None,
-                          repeats: int = 2) -> Dict:
-    """Both engines' invariants, verified byte-stable across repeats."""
-    if workload is None:
-        workload = DataSvcWorkload()
-    best: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        invariants = {engine: _engine_invariants(workload, engine)
-                      for engine in ("monospark", "spark")}
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-    return best
-
-
-def trajectory_summary(invariants: Dict,
-                       workload: Optional[DataSvcWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The byte-stable JSON dict ``BENCH_datasvc.json`` holds."""
-    if workload is None:
-        workload = DataSvcWorkload()
+def _run(repeats: int, committed: Optional[Dict]) -> Dict:
+    """The dict ``BENCH_datasvc.json`` holds."""
+    workload = DataSvcWorkload()
+    invariants, _ = repeat_deterministic(
+        lambda: ({engine: _engine_invariants(workload, engine)
+                  for engine in ("monospark", "spark")}, None), repeats)
     return {
         "benchmark": "datasvc_faults",
-        "workload": workload.params(),
+        "workload": asdict(workload),
         "repeats": repeats,
         "invariants": invariants,
     }
+
+
+BENCH = Bench("datasvc", _run)

@@ -24,17 +24,18 @@ Two kinds of numbers come out:
   CI only enforces a conservative floor.
 
 ``scripts/bench_trajectory.py --bench kernel`` and
-``benchmarks/test_kernel_throughput.py`` both run exactly this code.
+``benchmarks/test_kernel_throughput.py`` both run :data:`BENCH`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["KernelWorkload", "KernelBenchResult", "run_kernel_benchmark",
-           "trajectory_summary"]
+from repro.trajectory import Bench, repeat_deterministic
+
+__all__ = ["KernelWorkload", "BENCH"]
 
 
 @dataclass(frozen=True)
@@ -66,122 +67,56 @@ class KernelWorkload:
     telemetry_interval_s: float = 1.0
     telemetry_retention_s: float = 120.0
 
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "cores": self.cores, "seed": self.seed,
-            "duration_s": self.duration_s, "rate_per_s": self.rate_per_s,
-            "sort_gb": self.sort_gb, "sort_tasks": self.sort_tasks,
-            "telemetry_interval_s": self.telemetry_interval_s,
-            "telemetry_retention_s": self.telemetry_retention_s,
-        }
 
+def _run(repeats: int, committed: Optional[Dict]) -> Dict:
+    """The dict ``BENCH_kernel.json`` holds (best wall clock of ``repeats``).
 
-@dataclass
-class KernelBenchResult:
-    """One benchmark run: deterministic invariants + wall-clock rates."""
-
-    #: Deterministic (seed-reproducible on any machine).
-    jobs: int
-    monotasks: int
-    events_scheduled: int
-    sim_time_s: float
-    telemetry_points: int
-    #: Wall-clock (machine-dependent).
-    wall_s: float
-    workload: KernelWorkload = field(default_factory=KernelWorkload)
-
-    @property
-    def monotasks_per_s(self) -> float:
-        """Simulated monotasks completed per wall-clock second."""
-        return self.monotasks / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def events_per_s(self) -> float:
-        """Kernel events processed per wall-clock second."""
-        return self.events_scheduled / self.wall_s if self.wall_s > 0 else 0.0
-
-    def measurement(self) -> Dict:
-        """The wall-clock side, as a JSON-ready dict."""
-        return {
-            "wall_s": round(self.wall_s, 3),
-            "monotasks_per_s": round(self.monotasks_per_s, 1),
-            "events_per_s": round(self.events_per_s, 1),
-        }
-
-    def invariants(self) -> Dict:
-        """The deterministic side, as a JSON-ready dict."""
-        return {
-            "jobs": self.jobs,
-            "monotasks": self.monotasks,
-            "events_scheduled": self.events_scheduled,
-            "sim_time_s": round(self.sim_time_s, 4),
-            "telemetry_points": self.telemetry_points,
-        }
-
-
-def trajectory_summary(result: KernelBenchResult,
-                       baseline: Optional[Dict] = None,
-                       floor: Optional[float] = None,
-                       repeats: int = 1) -> Dict:
-    """The byte-stable JSON dict ``BENCH_kernel.json`` holds.
-
-    ``baseline`` is the frozen pre-optimization measurement (carried
-    forward from the committed file -- it cannot be regenerated once
-    the slow code is gone).  ``floor`` is the conservative
-    monotasks/sec CI gate; when absent it is set to a quarter of the
+    The frozen pre-optimization ``baseline`` and the CI floor
+    ``min_monotasks_per_s`` are carried forward from ``committed``: the
+    slow code the baseline measured is gone, so it cannot be
+    regenerated.  With nothing committed the floor is a quarter of the
     current measurement, low enough to absorb runner-speed variance
     while still catching an order-of-magnitude regression.
     """
-    current = result.measurement()
+    workload = KernelWorkload()
+    invariants, wall_s = repeat_deterministic(
+        lambda: _run_once(workload), repeats)
+    current = {
+        "wall_s": round(wall_s, 3),
+        "monotasks_per_s": round(invariants["monotasks"] / wall_s, 1),
+        "events_per_s": round(invariants["events_scheduled"] / wall_s, 1),
+    }
+    committed = committed or {}
     summary: Dict = {
         "benchmark": "kernel_throughput",
-        "workload": result.workload.params(),
+        "workload": asdict(workload),
         "repeats": repeats,
-        "invariants": result.invariants(),
+        "invariants": invariants,
         "current": current,
+        "min_monotasks_per_s": committed.get(
+            "min_monotasks_per_s",
+            round(current["monotasks_per_s"] * 0.25, 1)),
     }
+    baseline = committed.get("baseline")
     if baseline:
         summary["baseline"] = baseline
-        base_rate = baseline.get("monotasks_per_s", 0.0)
-        if base_rate:
-            summary["speedup_monotasks"] = round(
-                current["monotasks_per_s"] / base_rate, 2)
-    if floor is None:
-        floor = round(current["monotasks_per_s"] * 0.25, 1)
-    summary["min_monotasks_per_s"] = floor
+        summary["speedup_monotasks"] = round(
+            current["monotasks_per_s"] / baseline["monotasks_per_s"], 2)
     return summary
 
 
-def run_kernel_benchmark(workload: Optional[KernelWorkload] = None,
-                         repeats: int = 1) -> KernelBenchResult:
-    """Run the seeded observed serving stream; time it.
-
-    With ``repeats > 1`` the whole run executes that many times and the
-    best (smallest) wall-clock time is reported -- the standard
-    noise-floor statistic for throughput benchmarks on shared machines.
-    The deterministic invariants must agree across every repeat (same
-    seed, same code => same counts); a mismatch raises, which makes
-    every benchmark run double as a determinism check.
-    """
-    best: Optional[KernelBenchResult] = None
-    for _ in range(max(1, repeats)):
-        result = _run_once(workload)
-        if best is None:
-            best = result
-        elif result.invariants() != best.invariants():
-            raise AssertionError(
-                "non-deterministic benchmark run: "
-                f"{result.invariants()} != {best.invariants()}")
-        elif result.wall_s < best.wall_s:
-            best = result
-    return best
+def _gate(result: Dict) -> List[str]:
+    """Measured monotasks/sec must clear the committed floor."""
+    rate = result["current"]["monotasks_per_s"]
+    floor = result["min_monotasks_per_s"]
+    if rate < floor:
+        return [f"monotasks_per_s {rate} fell below the committed "
+                f"floor {floor}"]
+    return []
 
 
-def _run_once(workload: Optional[KernelWorkload] = None
-              ) -> KernelBenchResult:
-    """Run the seeded observed serving stream once; time it."""
+def _run_once(workload: KernelWorkload) -> Tuple[Dict, float]:
+    """Run the seeded observed serving stream once: invariants, wall s."""
     # Local imports: the benchmark pulls in the serve/clarity stack, and
     # this module must stay importable without it being on the hot path.
     from repro.api.context import AnalyticsContext
@@ -191,8 +126,6 @@ def _run_once(workload: Optional[KernelWorkload] = None
     from repro.serve.workload import PoissonArrivals, sort_template
     from repro.trace.telemetry import TelemetryRegistry, TelemetrySampler
 
-    if workload is None:
-        workload = KernelWorkload()
     shape = ClarityWorkload(
         machines=workload.machines, disks=workload.disks,
         cores=workload.cores, network_mb_s=workload.network_mb_s,
@@ -224,11 +157,14 @@ def _run_once(workload: Optional[KernelWorkload] = None
     wall_s = time.perf_counter() - start
 
     completed = sum(1 for r in report.records if r.outcome == "completed")
-    return KernelBenchResult(
-        jobs=completed,
-        monotasks=len(ctx.metrics.monotasks),
-        events_scheduled=env.events_scheduled,
-        sim_time_s=env.now,
-        telemetry_points=len(registry.store),
-        wall_s=wall_s,
-        workload=workload)
+    return {
+        "jobs": completed,
+        "monotasks": len(ctx.metrics.monotasks),
+        "events_scheduled": env.events_scheduled,
+        "sim_time_s": round(env.now, 4),
+        "telemetry_points": len(registry.store),
+    }, wall_s
+
+
+BENCH = Bench("kernel", _run, timing=("current", "speedup_monotasks"),
+              gate=_gate)

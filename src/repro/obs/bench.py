@@ -8,8 +8,8 @@ health signal" recast online):
   attached.  The gate: *zero* alerts fire and every scored drift
   verdict stays inside the envelope, so the default rulebook has no
   false positives on a healthy cluster.  This run also measures the
-  plane's self-overhead (wall-clock ms per simulated second) and
-  asserts it under the documented budget.
+  plane's self-overhead (wall-clock ms per simulated second), which
+  the bench's gate holds under the documented budget.
 * **Fail-slow** -- machine 1's network degrades 10x at t=5s under an
   SLO-bearing tenant, with the health monitor running alongside.  The
   gates: the ``source-slow`` alert names machine 1, the ``slo-burn``
@@ -26,15 +26,17 @@ runs the scenario set twice and raises on any cross-run drift, so CI
 diffs the committed ``BENCH_obs.json`` invariants exactly.  Wall-clock
 overhead is machine-dependent -- it is budget-gated, never diffed.
 
-``scripts/bench_trajectory.py --bench obs`` runs exactly this code.
+``scripts/bench_trajectory.py --bench obs`` runs :data:`BENCH`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["ObsWorkload", "run_obs_benchmark", "trajectory_summary"]
+from repro.trajectory import Bench, repeat_deterministic
+
+__all__ = ["ObsWorkload", "BENCH"]
 
 
 @dataclass(frozen=True)
@@ -71,35 +73,6 @@ class ObsWorkload:
     crash_rate_per_s: float = 0.3
     crash_horizon_s: float = 40.0
     crash_tenants: int = 4
-
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed,
-            "overhead_budget_ms_per_sim_s":
-                self.overhead_budget_ms_per_sim_s,
-            "free_rate_per_s": self.free_rate_per_s,
-            "free_horizon_s": self.free_horizon_s,
-            "free_slo_s": self.free_slo_s,
-            "free_num_blocks": self.free_num_blocks,
-            "free_block_mb": self.free_block_mb,
-            "slow_machine": self.slow_machine,
-            "slow_at": self.slow_at,
-            "slow_factor": self.slow_factor,
-            "slow_tenant": self.slow_tenant,
-            "slow_slo_s": self.slow_slo_s,
-            "slow_num_blocks": self.slow_num_blocks,
-            "slow_block_mb": self.slow_block_mb,
-            "slow_jobs": self.slow_jobs,
-            "slow_period_s": self.slow_period_s,
-            "crash_num_drivers": self.crash_num_drivers,
-            "crash_driver": self.crash_driver,
-            "crash_at": self.crash_at,
-            "crash_rate_per_s": self.crash_rate_per_s,
-            "crash_horizon_s": self.crash_horizon_s,
-            "crash_tenants": self.crash_tenants,
-        }
 
 
 def _timeline(obs) -> List[Dict]:
@@ -309,68 +282,48 @@ def _driver_crash(workload: ObsWorkload) -> Dict:
     }
 
 
-def run_obs_benchmark(workload: Optional[ObsWorkload] = None,
-                      repeats: int = 2) -> Dict:
-    """All invariants, verified byte-stable across repeats.
+def _once(workload: ObsWorkload) -> Tuple[Dict, Tuple[float, ...]]:
+    """One pass over the three scenarios: invariants, overhead timing."""
+    free, overhead = _fault_free(workload)
+    return {
+        "fault_free": free,
+        "fail_slow": _fail_slow(workload),
+        "driver_crash": _driver_crash(workload),
+    }, (overhead["ms_per_sim_s"], overhead["ticks"], overhead["sim_s"])
 
-    Returns ``{"invariants": ..., "overhead": ...}``: the invariants
-    must be identical on every repeat (same seed, same timeline, to the
-    byte); the overhead dict is the *best* (lowest ms-per-simulated-
-    second) measurement across repeats, gated against the workload's
-    budget but never diffed -- wall clock is the machine's, not the
-    seed's.
+
+def _run(repeats: int, committed: Optional[Dict]) -> Dict:
+    """The dict ``BENCH_obs.json`` holds.
+
+    ``observed_overhead`` is the best (lowest ms per simulated second)
+    measurement across repeats: wall clock is the machine's, not the
+    seed's, so it is budget-gated, never diffed.
     """
-    if workload is None:
-        workload = ObsWorkload()
-    best: Optional[Dict] = None
-    best_overhead: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        free, overhead = _fault_free(workload)
-        invariants = {
-            "fault_free": free,
-            "fail_slow": _fail_slow(workload),
-            "driver_crash": _driver_crash(workload),
-        }
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-        if (best_overhead is None
-                or overhead["ms_per_sim_s"]
-                < best_overhead["ms_per_sim_s"]):
-            best_overhead = overhead
-    budget = workload.overhead_budget_ms_per_sim_s
-    if best_overhead["ms_per_sim_s"] > budget:
-        raise AssertionError(
-            f"observability self-overhead "
-            f"{best_overhead['ms_per_sim_s']:.3f} ms per simulated "
-            f"second exceeds the {budget} ms budget")
-    return {"invariants": best, "overhead": best_overhead}
-
-
-def trajectory_summary(result: Dict,
-                       workload: Optional[ObsWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The JSON dict ``BENCH_obs.json`` holds.
-
-    ``invariants`` is byte-stable and exactly diffed by CI;
-    ``observed_overhead`` is informational (machine-dependent) -- the
-    check gates it against ``workload.overhead_budget_ms_per_sim_s``
-    instead of diffing it.
-    """
-    if workload is None:
-        workload = ObsWorkload()
-    overhead = result["overhead"]
+    workload = ObsWorkload()
+    invariants, (ms_per_sim_s, ticks, sim_s) = repeat_deterministic(
+        lambda: _once(workload), repeats)
     return {
         "benchmark": "obs_alerting",
-        "workload": workload.params(),
+        "workload": asdict(workload),
         "repeats": repeats,
-        "invariants": result["invariants"],
+        "invariants": invariants,
         "observed_overhead": {
-            "ms_per_sim_s": round(overhead["ms_per_sim_s"], 4),
-            "ticks": int(overhead["ticks"]),
-            "sim_s": round(overhead["sim_s"], 3),
+            "ms_per_sim_s": round(ms_per_sim_s, 4),
+            "ticks": int(ticks),
+            "sim_s": round(sim_s, 3),
             "note": "wall-clock; budget-gated, not diffed",
         },
     }
+
+
+def _gate(result: Dict) -> List[str]:
+    """The plane's self-overhead must stay under the workload's budget."""
+    budget = result["workload"]["overhead_budget_ms_per_sim_s"]
+    measured = result["observed_overhead"]["ms_per_sim_s"]
+    if measured > budget:
+        return [f"observability self-overhead {measured} ms per "
+                f"simulated second exceeds the {budget} ms budget"]
+    return []
+
+
+BENCH = Bench("obs", _run, timing=("observed_overhead",), gate=_gate)

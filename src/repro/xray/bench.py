@@ -22,7 +22,7 @@ Every invariant is a deterministic function of the seed: the benchmark
 runs the scenario set ``repeats`` times and raises on any cross-run
 drift, so CI diffs the committed ``BENCH_xray.json`` exactly.
 
-``scripts/bench_trajectory.py --bench xray`` runs exactly this code.
+``scripts/bench_trajectory.py --bench xray`` runs :data:`BENCH`.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
+from repro.trajectory import Bench, repeat_deterministic
 from repro.xray.capsule import Capsule
 from repro.xray.diff import diff_capsules
 from repro.xray.scenario import CanonicalRun, record_run
 
-__all__ = ["XrayWorkload", "run_xray_benchmark", "trajectory_summary"]
+__all__ = ["XrayWorkload", "BENCH"]
 
 
 @dataclass(frozen=True)
@@ -71,20 +72,6 @@ class XrayWorkload:
             jobs=self.jobs, period_s=self.period_s,
             degrade_machine=self.slow_machine if degraded else None,
             degrade_at=self.slow_at, degrade_factor=self.slow_factor)
-
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed, "tenant": self.tenant,
-            "slo_s": self.slo_s, "num_blocks": self.num_blocks,
-            "block_mb": self.block_mb, "jobs": self.jobs,
-            "period_s": self.period_s,
-            "slow_machine": self.slow_machine,
-            "slow_at": self.slow_at, "slow_factor": self.slow_factor,
-            "noise_floor_s": self.noise_floor_s,
-            "regress_threshold_s": self.regress_threshold_s,
-        }
 
 
 def _sha256(path: str) -> str:
@@ -208,60 +195,46 @@ def _self_diff_gate(clean: Capsule, workload: XrayWorkload) -> Dict:
     }
 
 
-def run_xray_benchmark(workload: Optional[XrayWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """All invariants, verified byte-stable across repeats."""
-    if workload is None:
-        workload = XrayWorkload()
-    best: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        workdir = tempfile.mkdtemp(prefix="repro-xray-bench-")
-        try:
-            clean = _record_deterministic(
-                workdir, "clean", workload.run("monospark"))
-            degraded = _record_deterministic(
-                workdir, "degraded",
-                workload.run("monospark", degraded=True))
-            spark_clean = _record_deterministic(
-                workdir, "spark-clean", workload.run("spark"))
-            spark_degraded = _record_deterministic(
-                workdir, "spark-degraded",
-                workload.run("spark", degraded=True))
-            invariants = {
-                "capsules": {
-                    "clean": _capsule_invariants(
-                        clean, clean.path),
-                    "degraded": _capsule_invariants(
-                        degraded, degraded.path),
-                    "spark_clean": _capsule_invariants(
-                        spark_clean, spark_clean.path),
-                    "spark_degraded": _capsule_invariants(
-                        spark_degraded, spark_degraded.path),
-                },
-                "blame": _blame_gate(clean, degraded, workload),
-                "spark": _spark_gate(spark_clean, spark_degraded,
-                                     workload),
-                "self_diff": _self_diff_gate(clean, workload),
-            }
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-    return {"invariants": best}
+def _invariants(workload: XrayWorkload) -> Dict:
+    """Record the four capsules and gate every diff over them."""
+    workdir = tempfile.mkdtemp(prefix="repro-xray-bench-")
+    try:
+        clean = _record_deterministic(
+            workdir, "clean", workload.run("monospark"))
+        degraded = _record_deterministic(
+            workdir, "degraded", workload.run("monospark", degraded=True))
+        spark_clean = _record_deterministic(
+            workdir, "spark-clean", workload.run("spark"))
+        spark_degraded = _record_deterministic(
+            workdir, "spark-degraded", workload.run("spark", degraded=True))
+        return {
+            "capsules": {
+                "clean": _capsule_invariants(clean, clean.path),
+                "degraded": _capsule_invariants(degraded, degraded.path),
+                "spark_clean": _capsule_invariants(
+                    spark_clean, spark_clean.path),
+                "spark_degraded": _capsule_invariants(
+                    spark_degraded, spark_degraded.path),
+            },
+            "blame": _blame_gate(clean, degraded, workload),
+            "spark": _spark_gate(spark_clean, spark_degraded, workload),
+            "self_diff": _self_diff_gate(clean, workload),
+        }
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
-def trajectory_summary(result: Dict,
-                       workload: Optional[XrayWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The JSON dict ``BENCH_xray.json`` holds (exactly diffed in CI)."""
-    if workload is None:
-        workload = XrayWorkload()
+def _run(repeats: int, committed: Optional[Dict]) -> Dict:
+    """The dict ``BENCH_xray.json`` holds."""
+    workload = XrayWorkload()
+    invariants, _ = repeat_deterministic(
+        lambda: (_invariants(workload), None), repeats)
     return {
         "benchmark": "xray_diff",
-        "workload": workload.params(),
+        "workload": asdict(workload),
         "repeats": repeats,
-        "invariants": result["invariants"],
+        "invariants": invariants,
     }
+
+
+BENCH = Bench("xray", _run)
