@@ -124,3 +124,101 @@ class TestControlPlaneDeterminism:
     def test_checkpointing_is_timing_invisible(self, seed):
         assert (run_plane_stream(seed, checkpoint=True)
                 == run_plane_stream(seed, checkpoint=False))
+
+
+# ---------------------------------------------------------------------------
+# Golden fingerprints: simulated behaviour pinned across code changes
+# ---------------------------------------------------------------------------
+
+#: sha256 of :func:`stream_fingerprint` for the seed-0 MonoSpark stream.
+GOLDEN_STREAM_SHA256 = (
+    "9c867e8a3aed60c4016a5e51c62e6f77ef5da4127f3bd9c577016e892eb44367")
+#: sha256 of :func:`crash_fingerprint` for seed 3.
+GOLDEN_CRASH_SHA256 = (
+    "fc6d95960ffcf0bcd95d2c3ebee75da616f1dabef7273d8ebffdf33425d66a39")
+
+
+def job_fingerprint(ctx, engine: str = "monospark") -> str:
+    """sha256 over every job's (id, start, end) and critical path.
+
+    Floats enter through ``repr`` (shortest round-trip), so the hash is
+    the same on every supported interpreter.  ``events_scheduled`` is
+    deliberately left out: a kernel change may schedule fewer events
+    for the same simulated behaviour.
+    """
+    import hashlib
+
+    rows = []
+    for job_id in sorted(ctx.metrics.jobs):
+        record = ctx.metrics.jobs[job_id]
+        segments = None
+        if record.end == record.end:  # NaN: unfinished
+            report = critical_path(ctx.metrics, job_id, engine=engine)
+            segments = (report.attributable,
+                        [(s.start, s.end, s.kind, s.resource, s.machine_id,
+                          s.phase, s.span_id) for s in report.segments])
+        rows.append((job_id, record.start, record.end, segments))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def stream_fingerprint() -> str:
+    """The seed-0 MonoSpark serving stream of :func:`run_stream`."""
+    cluster = hdd_cluster(num_machines=2, num_disks=2, seed=0)
+    ctx = AnalyticsContext(cluster, engine="monospark")
+    server = JobServer(ctx, policy="fifo", seed=0)
+    server.add_tenant("t")
+    template = sort_template(ctx, total_gb=0.05, num_tasks=4, seed=0)
+    server.add_workload("t", template, PoissonArrivals(0.2, horizon_s=60.0))
+    server.run()
+    return job_fingerprint(ctx)
+
+
+def crash_fingerprint(seed: int = 3):
+    """A seeded stream on four machines with one ``random_plan`` crash.
+
+    Returns the fingerprint and the retry count (the crash must hit
+    running work for the case to mean anything).
+    """
+    from repro.faults import FaultInjector, random_plan
+    from repro.simulator.rng import RngStreams
+
+    cluster = hdd_cluster(num_machines=4, num_disks=2, seed=seed)
+    ctx = AnalyticsContext(cluster, engine="monospark")
+    plan = random_plan(RngStreams(seed), range(4), horizon_s=40.0,
+                       restart_after=5.0)
+    FaultInjector(ctx.engine, plan).start()
+    server = JobServer(ctx, policy="fifo", seed=seed)
+    server.add_tenant("t")
+    template = sort_template(ctx, total_gb=0.1, num_tasks=8, seed=seed)
+    server.add_workload("t", template, PoissonArrivals(0.5, horizon_s=40.0))
+    server.run()
+    return job_fingerprint(ctx), ctx.metrics.retry_count()
+
+
+class TestGoldenFingerprints:
+    def test_stream_matches_golden(self):
+        assert stream_fingerprint() == GOLDEN_STREAM_SHA256
+
+    def test_crash_plan_matches_golden(self):
+        fingerprint, retries = crash_fingerprint()
+        assert retries > 0
+        assert fingerprint == GOLDEN_CRASH_SHA256
+
+    def test_stream_independent_of_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join([src, root]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_determinism import stream_fingerprint; "
+             "print(stream_fingerprint())"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == GOLDEN_STREAM_SHA256
