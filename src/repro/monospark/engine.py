@@ -119,7 +119,8 @@ class MonoSparkEngine(BaseEngine):
         machine.memory.acquire(footprint)
         try:
             decomposition = decompose(worker, work)
-            yield worker.submit_multitask(decomposition.monotasks)
+            yield worker.submit_multitask(decomposition.monotasks,
+                                          decomposition.shape)
         finally:
             machine.memory.release(footprint)
         # The engine commits (registers) outputs only if this attempt

@@ -70,10 +70,11 @@ class TestMemoryPressureWritePriority:
 
     def test_writes_prioritized_under_pressure(self):
         """Under pressure the disk scheduler serves write phases first."""
+        from repro.monospark.monotask import Monotask
         from repro.monospark.schedulers import ResourceScheduler
         from repro.simulator import Environment
 
-        class Fake:
+        class Fake(Monotask):
             def __init__(self, env, phase, log):
                 self.env, self.phase, self.log = env, phase, log
                 self.deps, self.done = [], env.event()
