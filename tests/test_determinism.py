@@ -133,6 +133,10 @@ class TestControlPlaneDeterminism:
 #: sha256 of :func:`stream_fingerprint` for the seed-0 MonoSpark stream.
 GOLDEN_STREAM_SHA256 = (
     "9c867e8a3aed60c4016a5e51c62e6f77ef5da4127f3bd9c577016e892eb44367")
+#: sha256 of :func:`stream_fingerprint` for the same stream on the Spark
+#: engine, which runs on the buffer cache, disk and network models.
+GOLDEN_SPARK_STREAM_SHA256 = (
+    "a756c16fc543ca9c7f6a67f43d21cbc6dc894e7e97902ad7a079f075cf8362b6")
 #: sha256 of :func:`crash_fingerprint` for seed 3.
 GOLDEN_CRASH_SHA256 = (
     "fc6d95960ffcf0bcd95d2c3ebee75da616f1dabef7273d8ebffdf33425d66a39")
@@ -161,16 +165,16 @@ def job_fingerprint(ctx, engine: str = "monospark") -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def stream_fingerprint() -> str:
-    """The seed-0 MonoSpark serving stream of :func:`run_stream`."""
+def stream_fingerprint(engine: str = "monospark") -> str:
+    """The seed-0 serving stream of :func:`run_stream` on ``engine``."""
     cluster = hdd_cluster(num_machines=2, num_disks=2, seed=0)
-    ctx = AnalyticsContext(cluster, engine="monospark")
+    ctx = AnalyticsContext(cluster, engine=engine)
     server = JobServer(ctx, policy="fifo", seed=0)
     server.add_tenant("t")
     template = sort_template(ctx, total_gb=0.05, num_tasks=4, seed=0)
     server.add_workload("t", template, PoissonArrivals(0.2, horizon_s=60.0))
     server.run()
-    return job_fingerprint(ctx)
+    return job_fingerprint(ctx, engine)
 
 
 def crash_fingerprint(seed: int = 3):
@@ -199,6 +203,9 @@ class TestGoldenFingerprints:
     def test_stream_matches_golden(self):
         assert stream_fingerprint() == GOLDEN_STREAM_SHA256
 
+    def test_spark_stream_matches_golden(self):
+        assert stream_fingerprint("spark") == GOLDEN_SPARK_STREAM_SHA256
+
     def test_crash_plan_matches_golden(self):
         fingerprint, retries = crash_fingerprint()
         assert retries > 0
@@ -219,6 +226,8 @@ class TestGoldenFingerprints:
         out = subprocess.run(
             [sys.executable, "-c",
              "from tests.test_determinism import stream_fingerprint; "
-             "print(stream_fingerprint())"],
+             "print(stream_fingerprint()); "
+             "print(stream_fingerprint('spark'))"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == GOLDEN_STREAM_SHA256
+        assert out.stdout.split() == [GOLDEN_STREAM_SHA256,
+                                      GOLDEN_SPARK_STREAM_SHA256]
