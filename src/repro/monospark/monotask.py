@@ -122,23 +122,8 @@ class ComputeMonotask(Monotask):
         return self.deserialize_s + self.op_s + self.serialize_s
 
     def start(self) -> Event:
-        """Hold a core for :attr:`seconds`, as ``CpuPool.run`` does:
-        acquire, mark busy, time out, release -- without its process."""
-        env = self.env
-        cpu = self.worker.machine.cpu
-        finished = env.event()
-
-        def granted(_: Event) -> None:
-            actual = self.seconds / cpu.speed_factor
-            cpu.total_busy_s += actual
-            env.timeout(actual).callbacks.append(release)
-
-        def release(_: Event) -> None:
-            cpu.release()
-            finished.succeed()
-
-        cpu.acquire().callbacks.append(granted)
-        return finished
+        """Hold a core for :attr:`seconds` as one compute slice."""
+        return self.worker.machine.cpu.slice(self.seconds)
 
     def record(self) -> None:
         """Report duration with its deserialize/op/serialize split."""

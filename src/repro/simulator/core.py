@@ -22,6 +22,7 @@ function of its inputs and seeds.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -476,7 +477,9 @@ class Environment:
 
         ``until`` may be ``None`` (run until the queue drains), a number
         (run until the clock reaches that time), or an :class:`Event` (run
-        until it fires, returning its value).
+        until it fires, returning its value).  The cyclic garbage
+        collector is paused while events dispatch and left on return as
+        it was found.
         """
         stop_value: Any = None
         if isinstance(until, Event):
@@ -498,6 +501,11 @@ class Environment:
 
         immediate = self._immediate
         heap = self._heap
+        # The loop creates no cyclic garbage (docs/kernel.md), so the
+        # cyclic collector would only rescan the retained result heap.
+        # Pause it, and leave it as found: a nested run() sees it paused.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             if deadline == float("inf"):
                 # Hot loop: no deadline to check, so pop-and-dispatch
@@ -527,6 +535,9 @@ class Environment:
             if not event._ok:
                 raise event._value
             return event._value
+        finally:
+            if collecting:
+                gc.enable()
         if deadline != float("inf"):
             self._now = deadline
         if isinstance(until, Event) and not until.processed:

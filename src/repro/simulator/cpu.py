@@ -65,15 +65,44 @@ class CpuPool:
         accepted for symmetry with the disk/network APIs (used by metrics
         wrappers); the pool itself does not interpret it.
         """
-        if duration < 0:
-            raise SimulationError(f"negative compute duration: {duration}")
+        _check_duration(duration)
         return self.env.process(self._run(duration))
 
     def _run(self, duration: float) -> Generator:
         yield self.acquire()
         try:
-            actual = duration / self.speed_factor
-            self.total_busy_s += actual
-            yield self.env.timeout(actual)
+            yield self.env.timeout(self._charge(duration))
         finally:
             self.release()
+
+    def slice(self, duration: float) -> Event:
+        """Run a compute slice as :meth:`run` does, without its process.
+
+        The core is claimed at the call, not one kernel step later, and
+        the slice is driven by callbacks on the grant and the timeout:
+        one kernel hop instead of a generator's resumes.
+        """
+        _check_duration(duration)
+        env = self.env
+        finished = env.event()
+
+        def granted(_: Event) -> None:
+            env.timeout(self._charge(duration)).callbacks.append(release)
+
+        def release(_: Event) -> None:
+            self.release()
+            finished.succeed()
+
+        self.acquire().callbacks.append(granted)
+        return finished
+
+    def _charge(self, duration: float) -> float:
+        """Price ``duration`` at the current core speed and count it busy."""
+        actual = duration / self.speed_factor
+        self.total_busy_s += actual
+        return actual
+
+
+def _check_duration(duration: float) -> None:
+    if duration < 0:
+        raise SimulationError(f"negative compute duration: {duration}")

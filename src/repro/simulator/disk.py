@@ -50,6 +50,8 @@ class DiskRequest:
         self.remaining = float(nbytes)
         self.kind = kind
         self.label = label
+        #: Succeeds with no value: a value of ``self`` would make the
+        #: request and its event a cycle only the cyclic collector frees.
         self.done: Event = env.event()
         self.submitted_at = env.now
         self.started_at: Optional[float] = None
@@ -105,7 +107,7 @@ class Disk:
         else:
             self.bytes_written += request.nbytes
         if request.nbytes == 0:
-            request.done.succeed(request)
+            request.done.succeed()
             return request.done
         if self.is_hdd:
             self._queue.append(request)
@@ -240,7 +242,7 @@ class Disk:
                     last = request
                     self.transfer_log.append(
                         (self.env.now, request.nbytes, request.kind))
-                    request.done.succeed(request)
+                    request.done.succeed()
         except Interrupted:
             pass  # Disk failed mid-service; fail_all() settles the queue.
         finally:
@@ -342,4 +344,4 @@ class Disk:
             for request in finished:
                 self.transfer_log.append(
                     (self.env.now, request.nbytes, request.kind))
-                request.done.succeed(request)
+                request.done.succeed()

@@ -69,6 +69,8 @@ class Flow:
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.started_at = env.now
+        #: Succeeds with no value: a value of ``self`` would make the
+        #: flow and its event a cycle only the cyclic collector frees.
         self.done: Event = env.event()
         self.label = label
         #: Start order; every per-flow order in the fabric follows it.
@@ -215,7 +217,7 @@ class Network:
                 continue  # Failed by a machine crash while in delivery.
             self.completion_log.append(
                 (self.env.now, flow.nbytes, flow.dst, flow.src))
-            flow.done.succeed(flow)
+            flow.done.succeed()
 
     # -- incremental state ----------------------------------------------------
 

@@ -212,6 +212,17 @@ class TestMonotaskExecution:
         assert cluster.env.now == pytest.approx(3.5)
         assert cluster.machine(0).cpu.total_busy_s == pytest.approx(3.5)
 
+    def test_negative_compute_slice_rejected(self):
+        cluster = hdd_cluster(num_machines=1)
+        engine = MonoSparkEngine(cluster)
+        worker = engine.workers[0]
+        monotask = ComputeMonotask(worker, PHASE_COMPUTE, (0, 0, 0),
+                                   op_s=-1.0)
+        with pytest.raises(SimulationError,
+                           match="negative compute duration"):
+            worker.compute_scheduler.submit(monotask)
+        assert cluster.machine(0).cpu.total_busy_s == 0.0
+
     def test_disk_monotask_is_write_through(self):
         cluster = hdd_cluster(num_machines=1)
         engine = MonoSparkEngine(cluster)

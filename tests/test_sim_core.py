@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
 from repro.errors import EmptySchedule, Interrupted, SimulationError
@@ -250,3 +252,78 @@ def test_peek_reports_next_event_time():
     assert env.peek() == float("inf")
     env.timeout(7.0)
     assert env.peek() == 7.0
+
+
+# ---------------------------------------------------------------------------
+# run() pauses the cyclic collector and leaves it as it found it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def collector_seen_by_callback(env, at=1.0):
+    """Record ``gc.isenabled()`` from a callback at time ``at``."""
+    seen = []
+    env.timeout(at).add_callback(lambda _: seen.append(gc.isenabled()))
+    return seen
+
+
+def run_to_drain(env):
+    env.run()
+
+
+def run_until_event(env):
+    assert env.run(until=env.timeout(2.0, value="x")) == "x"
+
+
+def run_until_time(env):
+    env.timeout(5.0)
+    env.run(until=2.0)
+
+
+def run_into_raising_callback(env):
+    def explode(_):
+        raise ValueError("boom")
+
+    env.timeout(1.5).add_callback(explode)
+    with pytest.raises(ValueError):
+        env.run()
+
+
+@pytest.mark.parametrize("run", [run_to_drain, run_until_event,
+                                 run_until_time, run_into_raising_callback])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_collector_and_restores_it(collector, enabled, run):
+    (gc.enable if enabled else gc.disable)()
+    env = Environment()
+    seen = collector_seen_by_callback(env)
+    run(env)
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_nested_run_keeps_collector_paused(collector):
+    gc.enable()
+    env = Environment()
+    seen = []
+
+    def nested(_):
+        env.run(until=2.0)
+        seen.append(gc.isenabled())
+
+    env.timeout(1.0).add_callback(nested)
+    later = collector_seen_by_callback(env, at=1.5)
+    env.timeout(3.0)
+    env.run()
+    assert later == [False]  # inside the nested run()
+    assert seen == [False]  # back in the outer run()
+    assert env.now == 3.0
+    assert gc.isenabled()

@@ -52,6 +52,26 @@ class TestCpuPool:
         with pytest.raises(SimulationError):
             pool.run(-1.0)
 
+    def test_slice_prices_like_run(self):
+        finishes = {}
+        for form in ("run", "slice"):
+            env = Environment()
+            pool = CpuPool(env, cores=2, speed_factor=0.5)
+            slices = [getattr(pool, form)(d) for d in (1.0, 2.0, 3.0)]
+            env.run(until=env.all_of(slices))
+            finishes[form] = env.now
+            assert pool.total_busy_s == pytest.approx(12.0)
+            assert pool.tracker.busy_time() == pytest.approx(12.0)
+            assert pool.cores_in_use == 0 and pool.tracker.busy == 0
+        assert finishes["slice"] == finishes["run"] == pytest.approx(8.0)
+
+    def test_negative_slice_rejected(self):
+        env = Environment()
+        pool = CpuPool(env, cores=1)
+        with pytest.raises(SimulationError):
+            pool.slice(-1.0)
+        assert pool.cores_in_use == 0 and env.queue_size == 0
+
 
 class TestHddModel:
     def test_sequential_read_at_full_throughput(self):
