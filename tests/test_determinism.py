@@ -140,6 +140,14 @@ GOLDEN_SPARK_STREAM_SHA256 = (
 #: sha256 of :func:`crash_fingerprint` for seed 3.
 GOLDEN_CRASH_SHA256 = (
     "fc6d95960ffcf0bcd95d2c3ebee75da616f1dabef7273d8ebffdf33425d66a39")
+#: sha256 of :func:`serve_fingerprint`: shedding, a concurrency cap of
+#: two and two weighted tenants on one :class:`JobServer`.
+GOLDEN_SERVE_SHA256 = (
+    "04697016bd28428fb9c16ee58260927a5b920e979d322813509983d62a4b1ebe")
+#: sha256 of :func:`failover_fingerprint`: a seeded driver crash that a
+#: checkpointed :class:`~repro.controlplane.ControlPlane` fails over.
+GOLDEN_FAILOVER_SHA256 = (
+    "54a7d73d8ec022e8800c6f976c64207a39afa3400e6fc7a886c6aeadb70759c4")
 
 
 def job_fingerprint(ctx, engine: str = "monospark") -> str:
@@ -199,6 +207,75 @@ def crash_fingerprint(seed: int = 3):
     return job_fingerprint(ctx), ctx.metrics.retry_count()
 
 
+def serve_rows(ctx) -> list:
+    """Every serve record's fields and every job's (id, start, end)."""
+    from dataclasses import astuple
+
+    jobs = [(job_id, ctx.metrics.jobs[job_id].start,
+             ctx.metrics.jobs[job_id].end)
+            for job_id in sorted(ctx.metrics.jobs)]
+    return [[astuple(r) for r in ctx.metrics.serve_records()], jobs]
+
+
+def serve_fingerprint():
+    """A :class:`JobServer` stream that sheds, caps and weighs tenants.
+
+    Returns the fingerprint and the shed count (the admission path must
+    be exercised for the case to mean anything).
+    """
+    import hashlib
+
+    from repro.serve import AdmissionController, ml_template
+
+    cluster = hdd_cluster(num_machines=2, num_disks=2, seed=5)
+    ctx = AnalyticsContext(cluster, engine="monospark",
+                           scheduling_policy="fair")
+    server = JobServer(ctx, admission=AdmissionController(max_queued_jobs=1),
+                       max_concurrent_jobs=2, seed=5)
+    server.add_tenant("interactive", weight=2.0, slo_s=30.0)
+    server.add_tenant("batch", weight=1.0)
+    server.add_workload("interactive",
+                        wordcount_template(ctx, num_blocks=2, block_mb=8.0),
+                        PoissonArrivals(0.3, horizon_s=60.0))
+    server.add_workload("batch", ml_template(ctx, num_partitions=2),
+                        PoissonArrivals(0.1, horizon_s=60.0))
+    report = server.run()
+    rows = serve_rows(ctx)
+    shed = sum(s.shed for s in report.stats)
+    return hashlib.sha256(repr(rows).encode()).hexdigest(), shed
+
+
+def failover_fingerprint():
+    """A seeded two-driver :class:`ControlPlane` run whose driver 0
+    crashes and is failed over from its checkpoints.
+
+    Returns the fingerprint and the failover summaries (the crash must
+    move work to an adopter for the case to mean anything).
+    """
+    import hashlib
+    from dataclasses import astuple
+
+    from repro.controlplane import ControlPlane, ControlPlanePolicy
+    from repro.faults import DriverCrash, FaultInjector, FaultPlan
+
+    cluster = hdd_cluster(num_machines=4, seed=2)
+    ctx = AnalyticsContext(cluster, engine="monospark")
+    policy = ControlPlanePolicy(control_service_s=0.05)
+    plane = ControlPlane(ctx, num_drivers=2, config=policy, seed=2)
+    template = wordcount_template(ctx, num_blocks=2, block_mb=4.0)
+    for i in range(4):
+        plane.add_workload(f"tenant{i}", template,
+                           PoissonArrivals(0.5, horizon_s=30.0))
+    FaultInjector(ctx.engine, FaultPlan([DriverCrash(at=12.0, driver_id=0)])
+                  ).start()
+    report = plane.run()
+    rows = serve_rows(ctx)
+    rows.append([astuple(e) for e in report.events])
+    rows.append([astuple(f) for f in report.failovers])
+    return (hashlib.sha256(repr(rows).encode()).hexdigest(),
+            report.failovers)
+
+
 class TestGoldenFingerprints:
     def test_stream_matches_golden(self):
         assert stream_fingerprint() == GOLDEN_STREAM_SHA256
@@ -210,6 +287,16 @@ class TestGoldenFingerprints:
         fingerprint, retries = crash_fingerprint()
         assert retries > 0
         assert fingerprint == GOLDEN_CRASH_SHA256
+
+    def test_serve_matches_golden(self):
+        fingerprint, shed = serve_fingerprint()
+        assert shed > 0
+        assert fingerprint == GOLDEN_SERVE_SHA256
+
+    def test_failover_matches_golden(self):
+        fingerprint, failovers = failover_fingerprint()
+        assert failovers and failovers[0].resumed + failovers[0].replayed > 0
+        assert fingerprint == GOLDEN_FAILOVER_SHA256
 
     def test_stream_independent_of_hash_seed(self):
         import os
@@ -227,7 +314,13 @@ class TestGoldenFingerprints:
             [sys.executable, "-c",
              "from tests.test_determinism import stream_fingerprint; "
              "print(stream_fingerprint()); "
-             "print(stream_fingerprint('spark'))"],
+             "print(stream_fingerprint('spark')); "
+             "from tests.test_determinism import serve_fingerprint; "
+             "print(serve_fingerprint()[0]); "
+             "from tests.test_determinism import failover_fingerprint; "
+             "print(failover_fingerprint()[0])"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == [GOLDEN_STREAM_SHA256,
-                                      GOLDEN_SPARK_STREAM_SHA256]
+                                      GOLDEN_SPARK_STREAM_SHA256,
+                                      GOLDEN_SERVE_SHA256,
+                                      GOLDEN_FAILOVER_SHA256]
