@@ -1,9 +1,12 @@
 """Sharded multi-driver control plane (``repro.controlplane``).
 
-The serving layer's single :class:`~repro.serve.server.JobServer`
-driver is both a throughput ceiling (every dispatch serializes through
-one admission loop) and a single point of failure.  This package runs
-N driver replicas over one engine: a consistent-hash ring shards
+There is one serving loop, in two configurations.  A
+:class:`~repro.serve.server.JobServer` runs it with one
+:class:`~repro.serve.replica.DriverReplica` and zero control cost; that
+single driver is both a throughput ceiling (every dispatch serializes
+through one admission loop) and a single point of failure.
+:class:`ControlPlane` subclasses the job server to run N driver
+replicas over one engine: a consistent-hash ring shards
 tenants across replicas, heartbeat membership and bully leader
 election keep the replica set coherent, and per-tenant checkpoints on
 a dedicated metadata data-service tier let a surviving replica adopt a
@@ -16,9 +19,9 @@ from repro.controlplane.checkpoint import (CheckpointStore, decode_state,
                                            encode_state)
 from repro.controlplane.plane import ControlPlane
 from repro.controlplane.policy import ControlPlanePolicy
-from repro.controlplane.replica import DriverReplica
 from repro.controlplane.report import ControlPlaneReport, FailoverSummary
 from repro.controlplane.ring import HashRing
+from repro.serve.replica import DriverReplica
 
 __all__ = [
     "CheckpointStore",

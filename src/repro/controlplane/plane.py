@@ -1,13 +1,13 @@
 """The sharded multi-driver control plane over one engine.
 
-A :class:`ControlPlane` runs ``num_drivers``
-:class:`~repro.controlplane.replica.DriverReplica` instances on top of
-a single engine: each replica owns the hash-ring shard of tenants the
-plane assigned it and pays the per-dispatch ``control_service_s``
-serialization for its shard only, so an N-driver plane admits jobs
-roughly N times faster than one driver once the control plane -- not
-the cluster -- is the bottleneck (the clarity aggregator's per-shard
-windows make that saturation visible).
+A :class:`ControlPlane` is a :class:`~repro.serve.server.JobServer`
+that runs ``num_drivers`` :class:`~repro.serve.replica.DriverReplica`
+instances on top of a single engine: each replica owns the hash-ring
+shard of tenants the plane assigned it and pays the per-dispatch
+``control_service_s`` serialization for its shard only, so an N-driver
+plane admits jobs roughly N times faster than one driver once the
+control plane -- not the cluster -- is the bottleneck (the clarity
+aggregator's per-shard windows make that saturation visible).
 
 Robustness is layered on three mechanisms:
 
@@ -42,31 +42,27 @@ stale owners fence their queues against the plane's assignment table.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.api.plan import JobPlan
 from repro.controlplane.checkpoint import CheckpointStore
 from repro.controlplane.policy import ControlPlanePolicy
-from repro.controlplane.replica import DriverReplica
 from repro.controlplane.report import ControlPlaneReport, FailoverSummary
 from repro.controlplane.ring import HashRing
 from repro.datasvc.service import DataService
 from repro.errors import ConfigError, ReproError, SimulationError
-from repro.metrics.events import DriverEventRecord, ServeRecord
-from repro.serve.admission import AdmissionController, CostEstimator
-from repro.serve.server import JobRequest, Tenant
+from repro.metrics.events import DriverEventRecord
+from repro.serve.admission import AdmissionController
+from repro.serve.replica import DriverReplica
+from repro.serve.server import JobRequest, JobServer
 from repro.serve.slo import ServeReport
-from repro.serve.workload import JobTemplate
-from repro.simulator import Event
 from repro.simulator.network import Network
-from repro.simulator.rng import RngStreams
 from repro.trace.spans import (LINK_FAILOVER_RESUME, SPAN_FAILOVER,
                                SpanLink, SpanRecord)
 
 __all__ = ["ControlPlane"]
 
 
-class ControlPlane:
+class ControlPlane(JobServer):
     """N driver replicas sharding tenants over one engine.
 
     Usage::
@@ -81,9 +77,20 @@ class ControlPlane:
 
     ``config`` is a :class:`ControlPlanePolicy`; ``scheduling`` names
     the per-replica job scheduler ("weighted_fair", "fifo",
-    "deadline").  ``health``, ``telemetry``, and ``clarity`` mirror
-    :class:`~repro.serve.server.JobServer`'s hooks.
+    "deadline").  ``admission``, ``seed``, ``health``, ``telemetry``,
+    ``clarity`` and ``obs`` are :class:`~repro.serve.server.JobServer`'s;
+    ``obs`` is attached at :meth:`run`, after ``engine.controlplane`` is
+    set, so its per-driver liveness gauges and driver-down rule exist.
+
+    What the subclass adds to the job server: the hash ring and the
+    tenant assignment it seeds, membership and leader election,
+    per-tenant checkpoints, failover, the fault entry points, the
+    ``repro_cp_*`` telemetry and the :class:`ControlPlaneReport`.
+    Replicas dispatch with no concurrency cap.
     """
+
+    stream_prefix = "controlplane"
+    retire_on_drain = False
 
     def __init__(self, ctx, num_drivers: int = 2,
                  config: Optional[ControlPlanePolicy] = None,
@@ -93,25 +100,11 @@ class ControlPlane:
                  obs=None) -> None:
         if num_drivers < 1:
             raise ConfigError(f"num_drivers must be >= 1: {num_drivers}")
-        self.ctx = ctx
-        self.engine = ctx.engine
-        self.env = ctx.engine.env
-        self.metrics = ctx.metrics
-        self.policy = config if config is not None else ControlPlanePolicy()
-        self.admission = admission
-        self.rng = RngStreams(seed)
         self.num_drivers = num_drivers
-        self.health = health
-        self.telemetry = telemetry
-        self.clarity = clarity
-        #: Optional :class:`repro.obs.ObservabilityPlane` (attached at
-        #: :meth:`run`, after ``engine.controlplane`` is set, so its
-        #: per-driver liveness gauges and driver-down rule exist).
-        self.obs = obs
-        self.estimator = CostEstimator(ctx.engine)
-        self.tenants: Dict[str, Tenant] = {}
-        self.drivers: List[DriverReplica] = [
-            DriverReplica(self, i, scheduling) for i in range(num_drivers)]
+        self.policy = config if config is not None else ControlPlanePolicy()
+        super().__init__(ctx, admission=admission, policy=scheduling,
+                         seed=seed, health=health, telemetry=telemetry,
+                         clarity=clarity, obs=obs)
         self.ring = HashRing(vnodes=self.policy.vnodes)
         for i in range(num_drivers):
             self.ring.add(i)
@@ -139,10 +132,6 @@ class ControlPlane:
                 self.cp_network.register_machine(base + i, up_bps=bps,
                                                  down_bps=bps)
                 self._driver_fabric[i] = base + i
-        # Serving state.
-        self._workloads: List[tuple] = []
-        self._open_sources = 0
-        self._seq = 0
         #: seq -> request: the canonical handle an adopter resumes.
         self._requests: Dict[int, JobRequest] = {}
         #: engine job id -> driver process (survives driver crashes).
@@ -150,45 +139,29 @@ class ControlPlane:
         #: tenant -> requests buffered while the shard owner is
         #: unreachable (clients retrying until failover or heal).
         self._orphans: Dict[str, List[JobRequest]] = {}
-        #: Admitted requests not yet completed/failed/lost.
-        self._outstanding = 0
         self._handled: set = set()
-        self._all_done: Optional[Event] = None
-        self._ran = False
         # Counters (telemetry / report face).
         self.elections = 0
         self.tenants_reassigned = 0
         self.jobs_resumed = 0
         self.jobs_replayed = 0
-        self.jobs_lost = 0
         self.orphaned = 0
         self.failovers: List[FailoverSummary] = []
         # The engine-side attach point (mirrors engine.datasvc): fault
         # injection and telemetry chaining find the plane here.
         self.engine.controlplane = self
 
-    # -- configuration -------------------------------------------------------------
+    @property
+    def control_service_s(self) -> float:
+        """Seconds of driver time each dispatch costs (the policy's)."""
+        return self.policy.control_service_s
 
-    def add_tenant(self, name: str, weight: float = 1.0,
-                   slo_s: Optional[float] = None) -> Tenant:
-        """Register a tenant and place it on the ring."""
-        if name in self.tenants:
-            raise SimulationError(f"tenant {name!r} is already registered")
-        tenant = Tenant(name, weight=weight, slo_s=slo_s)
-        self.tenants[name] = tenant
-        owner = self.ring.assign(name)
-        self.assignment[name] = owner
-        self.epochs[name] = 0
-        self.drivers[owner].ensure_tenant(name)
-        return tenant
-
-    def add_workload(self, tenant: str, template: JobTemplate,
-                     arrivals) -> None:
-        """Attach an open-loop source (own rng stream per source)."""
-        if tenant not in self.tenants:
-            self.add_tenant(tenant)
-        index = len(self._workloads)
-        self._workloads.append((tenant, template, arrivals, index))
+    def _place(self, tenant: str) -> int:
+        """Place a new tenant on the ring."""
+        owner = self.ring.assign(tenant)
+        self.assignment[tenant] = owner
+        self.epochs[tenant] = 0
+        return owner
 
     # -- lookups -------------------------------------------------------------------
 
@@ -230,42 +203,16 @@ class ControlPlane:
             kind=kind, driver_id=driver_id, at=self.env.now,
             peer_id=peer_id, tenant=tenant, detail=detail))
 
+    def observe_control(self, driver_id: int, busy_s: float) -> None:
+        """Feed one dispatch's driver time to the clarity aggregator."""
+        if self.clarity is not None:
+            self.clarity.observe_control(driver_id, busy_s, self.env.now)
+
     # -- submission ----------------------------------------------------------------
 
-    def submit(self, job: Union[JobTemplate, JobPlan],
-               tenant: str = "default") -> JobRequest:
-        """Submit one request, routed to the tenant's shard owner."""
-        if tenant not in self.tenants:
-            self.add_tenant(tenant)
-        template, plan = (job, None) if isinstance(job, JobTemplate) \
-            else (None, job)
-        if plan is not None and not isinstance(plan, JobPlan):
-            raise ConfigError(f"submit() takes a JobTemplate or JobPlan: "
-                              f"{job!r}")
-        name = template.name if template is not None else plan.name
-        request = JobRequest(
-            seq=self._seq, tenant=tenant, template_name=name,
-            arrival=self.env.now, done=self.env.event(), template=template,
-            plan=plan, slo_s=self.tenants[tenant].slo_s,
-            estimate_s=self.estimator.estimate(name))
-        request.recorded = False
-        self._seq += 1
+    def _route(self, owner: DriverReplica, request: JobRequest) -> None:
+        """Route an admitted request to the tenant's shard owner."""
         self._requests[request.seq] = request
-        owner = self._driver(self.assignment[tenant])
-        if self.admission is not None:
-            admit, reason = self.admission.decide(
-                request.estimate_s,
-                [r.estimate_s for r in owner._queue])
-            if not admit:
-                request.shed = True
-                request.recorded = True
-                self.metrics.record_serve(ServeRecord(
-                    tenant=tenant, template=name, arrival=request.arrival,
-                    outcome="shed", estimate_s=request.estimate_s,
-                    slo_s=request.slo_s, detail=reason))
-                request.done.succeed(None)
-                return request
-        self._outstanding += 1
         if owner.down or owner.partitioned:
             if owner.down and not self.policy.failover:
                 self._lose(request, f"driver {owner.driver_id} down with "
@@ -273,90 +220,10 @@ class ControlPlane:
             else:
                 # The client keeps retrying until failover (or a heal)
                 # installs a reachable owner.
-                self._orphans.setdefault(tenant, []).append(request)
+                self._orphans.setdefault(request.tenant, []).append(request)
                 self.orphaned += 1
         else:
-            owner.enqueue(request)
-            self.checkpoint_tenant(owner, tenant)
-        return request
-
-    def _source(self, tenant: str, template: JobTemplate, arrivals,
-                index: int):
-        stream = self.rng.stream(
-            f"controlplane/{index}/{tenant}/{template.name}")
-        for at in arrivals.times(stream):
-            if at > self.env.now:
-                yield self.env.timeout(at - self.env.now)
-            self.submit(template, tenant=tenant)
-        self._open_sources -= 1
-        self._maybe_finish()
-
-    # -- completion accounting -----------------------------------------------------
-
-    def finalize(self, driver: DriverReplica, request: JobRequest,
-                 outcome: str, detail: str, result) -> None:
-        """Record one request's terminal outcome, exactly once.
-
-        Duplicate completions (split-brain double dispatch) hit the
-        ``recorded`` fence and only clean up local state.
-        """
-        if request.recorded:
-            driver.kick()
-            return
-        request.recorded = True
-        request.result = result
-        counts = driver.tenant_counts.setdefault(
-            request.tenant, {"completed": 0, "failed": 0})
-        if result is not None:
-            driver.completed += 1
-            counts["completed"] += 1
-            driver.scheduler.credit(request.tenant, result.duration)
-            self.estimator.observe(request.template_name, self.metrics,
-                                   result)
-            if self.clarity is not None:
-                self.clarity.observe_job(self.metrics, request.plan.job_id,
-                                         engine=self.engine.name,
-                                         tenant=request.tenant)
-        else:
-            driver.failed += 1
-            counts["failed"] += 1
-        self.metrics.record_serve(ServeRecord(
-            tenant=request.tenant, template=request.template_name,
-            arrival=request.arrival, job_id=request.plan.job_id,
-            dispatched=request.dispatched, completed=self.env.now,
-            outcome=outcome, estimate_s=request.estimate_s,
-            slo_s=request.slo_s, detail=detail))
-        request.done.succeed(result)
-        self._outstanding -= 1
-        self.checkpoint_tenant(driver, request.tenant)
-        driver.kick()
-        self._maybe_finish()
-
-    def _lose(self, request: JobRequest, reason: str) -> None:
-        """Give up on a request: no surviving state can complete it."""
-        if request.recorded:
-            return
-        request.recorded = True
-        self.jobs_lost += 1
-        job_id = request.plan.job_id if request.plan is not None else -1
-        self.metrics.record_serve(ServeRecord(
-            tenant=request.tenant, template=request.template_name,
-            arrival=request.arrival, job_id=job_id,
-            dispatched=request.dispatched, outcome="lost",
-            estimate_s=request.estimate_s, slo_s=request.slo_s,
-            detail=reason))
-        self.record_driver_event("lost", self.owner_of(request.tenant),
-                                 tenant=request.tenant,
-                                 detail=f"request {request.seq}: {reason}")
-        request.done.succeed(None)
-        self._outstanding -= 1
-        self._maybe_finish()
-
-    def _maybe_finish(self) -> None:
-        if (self._open_sources == 0 and self._outstanding == 0
-                and self._all_done is not None
-                and not self._all_done.triggered):
-            self._all_done.succeed()
+            super()._route(owner, request)
 
     # -- checkpointing -------------------------------------------------------------
 
@@ -749,66 +616,27 @@ class ControlPlane:
     # -- driving -------------------------------------------------------------------
 
     def run(self) -> ControlPlaneReport:
-        """Serve until every source is exhausted and every request has
-        a terminal outcome (completed, failed, shed, or lost)."""
-        if self._ran:
-            raise SimulationError("a ControlPlane can only run once")
-        self._ran = True
-        self._all_done = self.env.event()
-        start = self.env.now
-        if self.obs is not None:
-            # Before the initial leader announcement, so even that
-            # first driver event lands in the unified journal.
-            self.obs.attach(self.engine, tenants=self.tenants)
-            self.obs.start()
+        """Serve as :meth:`JobServer.run` does; report the plane too."""
+        return self._report(super().run())
+
+    def _start(self) -> None:
+        """Announce the leader, start the replicas and the membership
+        loop, and the checkpoint sweep when checkpointing is on."""
         self.record_driver_event("leader", self.leader_id,
                                  detail="initial (highest id)")
         for driver in self.drivers:
-            driver.last_heard = {peer: start
+            driver.last_heard = {peer: self.env.now
                                  for peer in range(self.num_drivers)}
-            driver.start()
-        self._open_sources = len(self._workloads)
-        for tenant, template, arrivals, index in self._workloads:
-            self.env.process(self._source(tenant, template, arrivals,
-                                          index))
+        super()._start()
         self.env.process(self._membership())
         if self.store is not None:
             self.env.process(self._sweep())
-        if self.health is not None:
-            self.health.start()
-        if self.telemetry is not None:
-            registry = self.telemetry.registry
-            # Chains to register_telemetry above via engine.controlplane.
-            self.engine.register_telemetry(registry)
-            retention = getattr(registry, "retention_s", None)
-            if retention is not None:
-                self.ctx.cluster.set_tracker_retention(retention)
-            self.telemetry.start()
-        self._maybe_finish()
-        self.env.run(until=self._all_done)
-        if self.health is not None:
-            self.health.stop()
-        if self.telemetry is not None:
-            self.telemetry.stop()
-        if self.obs is not None:
-            self.obs.stop()
-        duration = self.env.now - start
-        serve = ServeReport.from_metrics(
-            self.metrics, engine_name=self.engine.name,
-            tenants=sorted(self.tenants), duration_s=duration)
-        if self.telemetry is not None:
-            serve.attach_telemetry(self.telemetry.registry)
-        if self.clarity is not None:
-            serve.attach_clarity(self.clarity)
-        datasvc = getattr(self.engine, "datasvc", None)
-        if datasvc is not None:
-            serve.attach_datasvc(datasvc)
-        if self.obs is not None:
-            serve.attach_obs(self.obs)
-        return self._report(serve, duration)
 
-    def _report(self, serve: ServeReport,
-                duration: float) -> ControlPlaneReport:
+    def _register_gauges(self, registry) -> None:
+        """Nothing more: ``engine.register_telemetry`` already chained
+        to :meth:`register_telemetry` through ``engine.controlplane``."""
+
+    def _report(self, serve: ServeReport) -> ControlPlaneReport:
         counters = {
             "elections": float(self.elections),
             "leader_epoch": float(self.leader_epoch),

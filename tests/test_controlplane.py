@@ -317,6 +317,15 @@ class TestReport:
         with pytest.raises(SimulationError):
             plane.run()
 
+    def test_submit_after_run_rejected(self):
+        ctx, plane = make_plane(num_drivers=2, tenants=1, horizon=5.0,
+                                rate=0.2)
+        template = wordcount_template(ctx, num_blocks=2, block_mb=4.0,
+                                      name="late")
+        plane.run()
+        with pytest.raises(SimulationError):
+            plane.submit(template, tenant="tenant0")
+
     def test_num_drivers_validated(self):
         cluster = hdd_cluster(num_machines=2, seed=0)
         ctx = AnalyticsContext(cluster, engine="monospark")

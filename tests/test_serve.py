@@ -330,6 +330,18 @@ class TestJobServer:
         with pytest.raises(SimulationError):
             server.run()
 
+    def test_submit_after_run_rejected(self):
+        # Nothing serves a request once run() has returned, so its done
+        # event would never fire: the server refuses it instead.
+        ctx = make_ctx()
+        template = small_wc(ctx)
+        server = JobServer(ctx)
+        server.submit(template)
+        server.run()
+        late = template.instantiate(ctx)
+        with pytest.raises(SimulationError):
+            server.submit(late)
+
     def test_invalid_configs_rejected(self):
         ctx = make_ctx()
         with pytest.raises(ConfigError):
