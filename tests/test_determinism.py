@@ -148,6 +148,11 @@ GOLDEN_SERVE_SHA256 = (
 #: checkpointed :class:`~repro.controlplane.ControlPlane` fails over.
 GOLDEN_FAILOVER_SHA256 = (
     "54a7d73d8ec022e8800c6f976c64207a39afa3400e6fc7a886c6aeadb70759c4")
+#: sha256 of :func:`journal_fingerprint`: the event journal's JSONL
+#: lines, a capsule's journal lines and the chrome-trace instants of a
+#: run that emits fault, health, driver and alert events.
+GOLDEN_JOURNAL_SHA256 = (
+    "4a212b08ff4282decfca9dac38242dbae76f1cc0d18a7279b47aeef70f7e45fd")
 
 
 def job_fingerprint(ctx, engine: str = "monospark") -> str:
@@ -276,6 +281,62 @@ def failover_fingerprint():
             report.failovers)
 
 
+def journal_fingerprint():
+    """A monitored, observed :class:`ControlPlane` run under a fail-slow
+    NIC and a driver crash, recorded into a journal file and a capsule.
+
+    Returns the fingerprint and the journal's sources (all four must
+    appear for the case to mean anything).
+    """
+    import hashlib
+    import json
+    import os
+    import tempfile
+
+    from repro.controlplane import ControlPlane
+    from repro.faults import (DriverCrash, FaultInjector, FaultPlan,
+                              fail_slow_plan)
+    from repro.health import HealthMonitor, HealthPolicy
+    from repro.metrics.chrometrace import trace_events
+    from repro.obs import ObservabilityPlane
+    from repro.serve import TraceArrivals
+    from repro.xray import RunRecorder
+
+    cluster = hdd_cluster(num_machines=4, num_disks=2, seed=4)
+    ctx = AnalyticsContext(cluster, engine="monospark")
+    plan = FaultPlan([*fail_slow_plan(machine_id=1, at=5.0, factor=10.0),
+                      DriverCrash(at=20.0, driver_id=0)])
+    FaultInjector(ctx.engine, plan).start()
+    with tempfile.TemporaryDirectory() as workdir:
+        journal_path = os.path.join(workdir, "journal.jsonl")
+        capsule_path = os.path.join(workdir, "run.capsule")
+        obs = ObservabilityPlane(journal_path=journal_path)
+        plane = ControlPlane(ctx, num_drivers=2, seed=4,
+                             health=HealthMonitor(ctx.engine, HealthPolicy()),
+                             obs=obs)
+        template = wordcount_template(ctx, num_blocks=4, block_mb=8.0, seed=4)
+        for i in range(2):
+            plane.add_tenant(f"tenant{i}", slo_s=10.0)
+            plane.add_workload(f"tenant{i}", template, TraceArrivals(
+                [1.0 + 3.0 * k + i for k in range(12)]))
+        with RunRecorder(capsule_path, engine="monospark", seed=4) as recorder:
+            recorder.attach(ctx.metrics)
+            plane.run()
+        obs.close()
+        with open(journal_path, encoding="utf-8") as handle:
+            journal = handle.read().splitlines()
+        with open(capsule_path, encoding="utf-8") as handle:
+            capsule = [line for line in handle.read().splitlines()
+                       if json.loads(line)["type"] == "journal"]
+    instants = [json.dumps(event) for event in trace_events(ctx.metrics)
+                if event["ph"] == "i"]
+    digest = hashlib.sha256()
+    for line in journal + capsule + instants:
+        digest.update(line.encode() + b"\n")
+    sources = {json.loads(line)["source"] for line in journal}
+    return digest.hexdigest(), sources
+
+
 class TestGoldenFingerprints:
     def test_stream_matches_golden(self):
         assert stream_fingerprint() == GOLDEN_STREAM_SHA256
@@ -298,6 +359,11 @@ class TestGoldenFingerprints:
         assert failovers and failovers[0].resumed + failovers[0].replayed > 0
         assert fingerprint == GOLDEN_FAILOVER_SHA256
 
+    def test_journal_matches_golden(self):
+        fingerprint, sources = journal_fingerprint()
+        assert sources == {"fault", "health", "driver", "alert"}
+        assert fingerprint == GOLDEN_JOURNAL_SHA256
+
     def test_stream_independent_of_hash_seed(self):
         import os
         import subprocess
@@ -318,9 +384,12 @@ class TestGoldenFingerprints:
              "from tests.test_determinism import serve_fingerprint; "
              "print(serve_fingerprint()[0]); "
              "from tests.test_determinism import failover_fingerprint; "
-             "print(failover_fingerprint()[0])"],
+             "print(failover_fingerprint()[0]); "
+             "from tests.test_determinism import journal_fingerprint; "
+             "print(journal_fingerprint()[0])"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == [GOLDEN_STREAM_SHA256,
                                       GOLDEN_SPARK_STREAM_SHA256,
                                       GOLDEN_SERVE_SHA256,
-                                      GOLDEN_FAILOVER_SHA256]
+                                      GOLDEN_FAILOVER_SHA256,
+                                      GOLDEN_JOURNAL_SHA256]
