@@ -12,6 +12,7 @@ from helpers import emit, make_cluster, once
 
 from repro import GB, AnalyticsContext
 from repro.faults import FaultInjector, FaultPlan, MachineCrash
+from repro.metrics.events import FaultEventRecord
 from repro.workloads.sortgen import (SortWorkload, generate_sort_input,
                                      run_sort)
 
@@ -73,7 +74,7 @@ def test_sort_survives_machine_crash(benchmark):
         baseline, crashed, ctx = results[engine]
         # Recovery happened (the crash killed work / lost map output) ...
         assert ctx.metrics.retry_count(crashed.job_id) > 0
-        assert [f.kind for f in ctx.metrics.faults] == \
+        assert [f.kind for f in ctx.metrics.events_of(FaultEventRecord)] == \
             ["machine-crash", "machine-restart"]
         # ... the job finished, slower than fault-free but not unboundedly
         # (losing 1/8 of the cluster for a while should not triple time).

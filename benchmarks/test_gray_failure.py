@@ -14,6 +14,7 @@ from helpers import emit, make_cluster, once
 from repro import AnalyticsContext
 from repro.faults import FaultInjector, fail_slow_plan
 from repro.health import HealthMonitor, HealthPolicy
+from repro.metrics.events import HealthEventRecord
 from repro.serve import (AdmissionController, JobServer, PoissonArrivals,
                          wordcount_template)
 
@@ -77,7 +78,9 @@ def test_gray_failure_exclusion(benchmark):
             f"{stats.p99_s:.2f}", attainment,
             ",".join(f"m{m}" for m in excluded) or "-"])
     on_ctx, on_report = results["monitor on"]
-    for event in on_ctx.metrics.health_records(kind="exclude"):
+    on_excludes = [h for h in on_ctx.metrics.events_of(HealthEventRecord)
+                   if h.kind == "exclude"]
+    for event in on_excludes:
         notes.append(f"t={event.at:.1f}s: excluded m{event.machine_id} "
                      f"({event.resource}, rel rate "
                      f"{event.relative_rate:.3f}, {event.detail})")
@@ -93,8 +96,7 @@ def test_gray_failure_exclusion(benchmark):
     off_stats = off_report.tenant("interactive")
 
     # The monitor found the sick machine and blamed its network.
-    excludes = on_ctx.metrics.health_records(kind="exclude",
-                                            machine_id=DEGRADE_MACHINE)
+    excludes = [h for h in on_excludes if h.machine_id == DEGRADE_MACHINE]
     assert excludes, "monitor never excluded the degraded machine"
     assert all(e.resource == "network" for e in excludes)
     assert DEGRADE_MACHINE in on_ctx.engine.excluded_machines

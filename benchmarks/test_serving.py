@@ -14,6 +14,7 @@ from helpers import emit, make_cluster, once
 
 from repro import AnalyticsContext
 from repro.faults import FaultInjector, FaultPlan, MachineCrash
+from repro.metrics.events import FaultEventRecord
 from repro.serve import (AdmissionController, JobServer, PoissonArrivals,
                          ml_template, wordcount_template)
 
@@ -104,7 +105,7 @@ def test_serving_tail_latency(benchmark):
             assert stats.completed > 0
             assert stats.p99_s >= stats.p50_s > 0
         # The crash fired and the machine came back.
-        assert [f.kind for f in ctx.metrics.faults] == \
+        assert [f.kind for f in ctx.metrics.events_of(FaultEventRecord)] == \
             ["machine-crash", "machine-restart"]
         # No leaked events after the stream drains.
         env = ctx.cluster.env

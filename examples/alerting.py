@@ -18,6 +18,7 @@ Run:  python examples/alerting.py
 from repro import AnalyticsContext, hdd_cluster
 from repro.faults import FaultInjector, fail_slow_plan
 from repro.health import HealthMonitor, HealthPolicy
+from repro.metrics.events import HealthEventRecord
 from repro.obs import ObservabilityPlane, format_labels
 from repro.serve import JobServer, TraceArrivals, wordcount_template
 
@@ -62,7 +63,8 @@ def main():
 
     timeline = obs.alert_timeline()
     first_fire = next(r for r in timeline if r.kind == "firing")
-    exclude = ctx.metrics.health_records(kind="exclude")[0]
+    exclude = next(h for h in ctx.metrics.events_of(HealthEventRecord)
+                   if h.kind == "exclude")
     print(f"\nfirst alert fired at t={first_fire.at:.1f}s "
           f"({first_fire.rule}{{{first_fire.labels}}}); the health "
           f"monitor excluded machine {exclude.machine_id} at "

@@ -21,6 +21,7 @@ Run:  python examples/gray_failure.py
 from repro import AnalyticsContext, hdd_cluster
 from repro.faults import FaultInjector, fail_slow_plan
 from repro.health import HealthMonitor, HealthPolicy
+from repro.metrics.events import HealthEventRecord
 from repro.serve import wordcount_template
 from repro.workloads.scaling import scaled_memory_overrides
 
@@ -61,7 +62,7 @@ def main():
               f"{FACTOR:g}x at t={DEGRADE_AT:.0f}s ==")
         print("job durations: "
               + "  ".join(f"{d:.1f}s" for d in durations))
-        events = ctx.metrics.health_events
+        events = ctx.metrics.events_of(HealthEventRecord)
         if events:
             print("health events:")
             for h in events:

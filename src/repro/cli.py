@@ -667,6 +667,7 @@ def _cmd_clarity(args) -> int:
 def _cmd_health(args) -> int:
     from repro.faults import FaultInjector, fail_slow_plan
     from repro.health import HealthMonitor, HealthPolicy
+    from repro.metrics.events import HealthEventRecord
     from repro.serve import wordcount_template
 
     if not 0 <= args.degrade_machine < args.machines:
@@ -697,7 +698,7 @@ def _cmd_health(args) -> int:
     if monitor is not None:
         monitor.stop()
     env.run()
-    events = ctx.metrics.health_events
+    events = ctx.metrics.events_of(HealthEventRecord)
     if events:
         print()
         print("health events:")

@@ -87,7 +87,7 @@ class BlockManager:
             if self.metrics is not None:
                 # Attributable cache loss: lands in the fault event
                 # stream (and the trace) instead of vanishing silently.
-                self.metrics.record_fault(FaultEventRecord(
+                self.metrics.record_event(FaultEventRecord(
                     kind="cache-invalidation", machine_id=machine_id,
                     at=self.cluster.env.now,
                     detail=f"{len(keys)} cached partitions "

@@ -199,7 +199,7 @@ class ControlPlane(JobServer):
                             peer_id: int = -1, tenant: str = "",
                             detail: str = "") -> None:
         """Record one membership/election/failover event, timestamped."""
-        self.metrics.record_driver(DriverEventRecord(
+        self.metrics.record_event(DriverEventRecord(
             kind=kind, driver_id=driver_id, at=self.env.now,
             peer_id=peer_id, tenant=tenant, detail=detail))
 
@@ -668,4 +668,4 @@ class ControlPlane(JobServer):
             assignment=dict(sorted(self.assignment.items())),
             per_driver=per_driver, counters=counters,
             failovers=list(self.failovers),
-            events=list(self.metrics.driver_events))
+            events=self.metrics.events_of(DriverEventRecord))

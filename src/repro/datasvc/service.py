@@ -39,8 +39,7 @@ from repro.datamodel.records import Partition
 from repro.errors import (ConfigError, FaultError, FetchFailed,
                           Interrupted, MachineFailure, SimulationError)
 from repro.metrics.events import (PHASE_DATASVC_DRAIN, PHASE_DATASVC_READ,
-                                  FaultEventRecord, HealthEventRecord,
-                                  TransferRecord)
+                                  HealthEventRecord, TransferRecord)
 from repro.monospark.monotask import DiskMonotask
 from repro.monospark.schedulers import ResourceScheduler
 from repro.simulator.network import FLOW_LATENCY_S
@@ -549,7 +548,7 @@ class DataService:
             self._health.report_integrity_fault(node.machine_id,
                                                 detail=detail)
         elif self._metrics is not None:
-            self._metrics.record_health(HealthEventRecord(
+            self._metrics.record_event(HealthEventRecord(
                 kind="integrity-fault", machine_id=node.machine_id,
                 at=self.env.now, resource="disk", detail=detail))
         if count >= self.suspicion_exclude_threshold:
@@ -719,8 +718,3 @@ class DataService:
                     "Queued monotasks on a storage-node disk",
                     (lambda s=scheduler: s.queue_length),
                     node=node.index, disk=index)
-
-    def record_fault(self, record: FaultEventRecord) -> None:
-        """Forward a fault event (used by the injector via the engine)."""
-        if self._metrics is not None:
-            self._metrics.record_fault(record)

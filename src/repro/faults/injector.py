@@ -40,7 +40,7 @@ class FaultInjector:
         self.env.process(self._drive())
 
     def _record(self, kind: str, machine_id: int, detail: str = "") -> None:
-        self.engine.metrics.record_fault(FaultEventRecord(
+        self.engine.metrics.record_event(FaultEventRecord(
             kind=kind, machine_id=machine_id, at=self.env.now, detail=detail))
 
     def _target_down(self, machine_id: int) -> bool:

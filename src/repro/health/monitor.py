@@ -106,7 +106,7 @@ class HealthMonitor:
     def _record(self, kind: str, machine_id: int, resource: str = "",
                 relative_rate: float = float("nan"),
                 detail: str = "") -> None:
-        self.metrics.record_health(HealthEventRecord(
+        self.metrics.record_event(HealthEventRecord(
             kind=kind, machine_id=machine_id, at=self.env.now,
             resource=resource, relative_rate=relative_rate, detail=detail))
 

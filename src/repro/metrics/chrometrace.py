@@ -33,7 +33,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import CPU, DISK, NETWORK
+from repro.metrics.events import (CPU, DISK, NETWORK, AlertEventRecord,
+                                  DriverEventRecord)
 
 __all__ = ["trace_events", "write_chrome_trace", "WriteResult",
            "DRIVER_PID"]
@@ -174,7 +175,7 @@ def trace_events(metrics: MetricsCollector,
     # trace window rarely contains them and their timestamps would dangle
     # outside it.
     if job_id is None:
-        for record in metrics.driver_events:
+        for record in metrics.events_of(DriverEventRecord):
             driver_used = True
             events.append({
                 "name": f"{record.kind} d{record.driver_id}",
@@ -185,7 +186,7 @@ def trace_events(metrics: MetricsCollector,
                          "peer": record.peer_id, "tenant": record.tenant,
                          "detail": record.detail},
             })
-        for record in metrics.alerts:
+        for record in metrics.events_of(AlertEventRecord):
             driver_used = True
             events.append({
                 "name": f"{record.kind}: {record.rule}",

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
+from repro.metrics.events import FaultEventRecord
+
 if TYPE_CHECKING:
     from repro.metrics.collector import MetricsCollector
 
@@ -75,7 +77,7 @@ def format_fault_report(metrics: "MetricsCollector",
     """
     rows: List[List[object]] = []
     fault_kinds: dict = {}
-    for fault in metrics.faults:
+    for fault in metrics.events_of(FaultEventRecord):
         fault_kinds[fault.kind] = fault_kinds.get(fault.kind, 0) + 1
     for kind in sorted(fault_kinds):
         rows.append([f"fault: {kind}", fault_kinds[kind]])

@@ -14,9 +14,9 @@ produce, this package adds the *online* half of performance clarity:
   on the Spark-style engine, §6.6);
 * exemplar-linked metrics (:mod:`repro.obs.exemplars`): firing alerts
   carry the critical-path span of the worst recent contributor;
-* a unified bounded event journal (:mod:`repro.obs.journal`) folding
-  fault, health, driver, and alert streams into one severity-leveled,
-  JSONL-sinkable timeline;
+* a bounded event journal (:mod:`repro.obs.journal`) keeping the one
+  stream of fault, health, driver, and alert events as a
+  severity-leveled, JSONL-sinkable timeline;
 * self-overhead accounting: the plane measures its own wall-clock cost
   per simulated second, and the benchmark budget-gates it.
 
@@ -27,8 +27,7 @@ and control-plane layers take via their ``obs=`` parameter.
 from repro.obs.alerts import Alert, AlertEngine, format_labels
 from repro.obs.drift import DriftVerdict, ModelDriftDetector
 from repro.obs.exemplars import WORST_JOB_METRIC, Exemplar, ExemplarStore
-from repro.obs.journal import (EventJournal, JournalEvent,
-                               JsonlJournalSink, severity_of)
+from repro.obs.journal import EventJournal, JsonlJournalSink
 from repro.obs.plane import ObservabilityPlane
 from repro.obs.rules import (OPS, SEVERITIES, AbsenceRule, BurnRateRule,
                              ThresholdRule, exemplar_metric_of,
@@ -44,9 +43,7 @@ __all__ = [
     "ExemplarStore",
     "WORST_JOB_METRIC",
     "EventJournal",
-    "JournalEvent",
     "JsonlJournalSink",
-    "severity_of",
     "ObservabilityPlane",
     "ThresholdRule",
     "AbsenceRule",

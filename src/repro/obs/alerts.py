@@ -208,7 +208,7 @@ class AlertEngine:
             detail=alert.detail)
         self.transitions.append(record)
         if self.metrics is not None:
-            self.metrics.record_alert(record)
+            self.metrics.record_event(record)
         return record
 
     # -- per-family condition evaluation -------------------------------------------

@@ -159,6 +159,7 @@ def _fail_slow(workload: ObsWorkload) -> Dict:
     from repro.cluster import hdd_cluster
     from repro.faults import FaultInjector, fail_slow_plan
     from repro.health import HealthMonitor, HealthPolicy
+    from repro.metrics.events import HealthEventRecord
     from repro.obs import ObservabilityPlane
     from repro.serve import JobServer
     from repro.serve.workload import TraceArrivals, wordcount_template
@@ -200,7 +201,8 @@ def _fail_slow(workload: ObsWorkload) -> Dict:
         raise AssertionError(
             f"slo-burn fired on {burn_firing.labels!r}, not tenant="
             f"{workload.slow_tenant}")
-    excludes = ctx.metrics.health_records(kind="exclude")
+    excludes = [h for h in ctx.metrics.events_of(HealthEventRecord)
+                if h.kind == "exclude"]
     if not excludes:
         raise AssertionError("health monitor never excluded the "
                              "fail-slow machine")

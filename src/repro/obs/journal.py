@@ -1,14 +1,12 @@
 """A unified, bounded, severity-leveled event journal.
 
-The simulator already narrates itself through four disjoint record
-streams -- injected faults (:class:`FaultEventRecord`), health-monitor
-decisions (:class:`HealthEventRecord`, including integrity faults),
-control-plane membership (:class:`DriverEventRecord`), and alert
-lifecycle transitions (:class:`AlertEventRecord`).  Debugging an
-incident means interleaving all of them by time; the journal does that
-fold *online*, via the metrics collector's event-listener hook, into
-one bounded stream of :class:`JournalEvent` rows with a uniform
-``(t, severity, source, kind, subject, detail)`` shape.
+The simulator narrates itself through one stream of incident records,
+:class:`repro.metrics.events.Event`: injected faults, health-monitor
+decisions (including integrity faults), control-plane membership and
+alert lifecycle transitions.  Each record reports its own uniform view
+(``t, severity, source, kind, subject, detail``); debugging an incident
+means reading them in time order, and the journal keeps them *online*,
+via the metrics collector's event-listener hook.
 
 The journal is bounded (oldest dropped first, with a drop counter, so
 an always-on serving run cannot grow it without limit) and optionally
@@ -20,14 +18,15 @@ in one shot, no trailing buffering, deterministic key order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import IO, List, Optional, Union
+from collections import deque
+from typing import IO, Deque, List, Optional, Union
 
 from repro.errors import ObsError
 from repro.jsonl import JsonlWriter
+from repro.metrics.events import Event
 
-__all__ = ["JournalEvent", "EventJournal", "JsonlJournalSink",
-           "fold_event", "severity_of", "SEVERITY_ORDER", "JOURNAL_SCHEMA"]
+__all__ = ["EventJournal", "JsonlJournalSink", "SEVERITY_ORDER",
+           "JOURNAL_SCHEMA"]
 
 #: Severity ranks, least to most urgent (journal filters compare ranks).
 SEVERITY_ORDER = {"info": 0, "warning": 1, "critical": 2}
@@ -35,123 +34,16 @@ SEVERITY_ORDER = {"info": 0, "warning": 1, "critical": 2}
 #: Version stamped into every JSONL line the journal sink writes.
 JOURNAL_SCHEMA = 1
 
-#: Fault kinds that mean lost state/work rather than degradation.
-_FAULT_CRITICAL = ("crash", "failure", "partition")
-_HEALTH_CRITICAL = ("exclude", "integrity-fault")
-_HEALTH_WARNING = ("suspect", "heartbeat-miss", "probation")
-_DRIVER_CRITICAL = ("driver-crash", "lost", "isolated")
-_DRIVER_WARNING = ("election", "reassign", "driver-partition",
-                   "heartbeat-miss", "replay")
-
-
-def severity_of(source: str, record) -> str:
-    """Map one source record to a journal severity.
-
-    The mapping encodes "what would page": lost work and lost state are
-    critical; degradation signals and recovery churn are warnings;
-    bookkeeping (leader announcements, reinstatements, resolved alerts)
-    is info.  Alert records carry their own severity when firing.
-    """
-    kind = getattr(record, "kind", "")
-    if source == "fault":
-        if any(word in kind for word in _FAULT_CRITICAL):
-            return "critical"
-        return "warning"
-    if source == "health":
-        if kind in _HEALTH_CRITICAL:
-            return "critical"
-        if kind in _HEALTH_WARNING:
-            return "warning"
-        return "info"
-    if source == "driver":
-        if kind in _DRIVER_CRITICAL:
-            return "critical"
-        if kind in _DRIVER_WARNING:
-            return "warning"
-        return "info"
-    if source == "alert":
-        if kind == "firing":
-            return record.severity
-        return "info"
-    raise ObsError(f"unknown journal source {source!r}")
-
-
-@dataclass
-class JournalEvent:
-    """One folded event: a uniform row whatever the original stream."""
-
-    t: float
-    severity: str
-    #: Which stream it came from: fault | health | driver | alert.
-    source: str
-    kind: str
-    #: What it is about: ``machine 1``, ``driver 0``, a rule+labels key.
-    subject: str
-    detail: str = ""
-    #: Exemplar link carried over from alert records (-1 = none).
-    span_id: int = -1
-    trace_id: str = ""
-
-    def to_dict(self) -> dict:
-        """A JSON-ready dict with deterministic field order."""
-        return asdict(self)
-
-    def format(self) -> str:
-        """One aligned human line (``repro obs events`` output)."""
-        link = f" span={self.trace_id}/{self.span_id}" \
-            if self.span_id >= 0 else ""
-        detail = f": {self.detail}" if self.detail else ""
-        return (f"[{self.t:9.3f}] {self.severity.upper():8s} "
-                f"{self.source}/{self.kind} {self.subject}{detail}{link}")
-
-
-def _fold(source: str, record) -> JournalEvent:
-    """Build the uniform row for one source record."""
-    severity = severity_of(source, record)
-    at = getattr(record, "at")
-    if source == "fault":
-        return JournalEvent(
-            t=at, severity=severity, source=source, kind=record.kind,
-            subject=f"machine {record.machine_id}", detail=record.detail)
-    if source == "health":
-        subject = f"machine {record.machine_id}"
-        if record.resource:
-            subject += f" {record.resource}"
-        return JournalEvent(
-            t=at, severity=severity, source=source, kind=record.kind,
-            subject=subject, detail=record.detail)
-    if source == "driver":
-        subject = f"driver {record.driver_id}"
-        if record.peer_id >= 0:
-            subject += f" peer {record.peer_id}"
-        if record.tenant:
-            subject += f" tenant {record.tenant}"
-        return JournalEvent(
-            t=at, severity=severity, source=source, kind=record.kind,
-            subject=subject, detail=record.detail)
-    # source == "alert" (severity_of already rejected anything else)
-    subject = record.rule
-    if record.labels:
-        subject += f"{{{record.labels}}}"
-    return JournalEvent(
-        t=at, severity=severity, source=source, kind=record.kind,
-        subject=subject, detail=record.detail, span_id=record.span_id,
-        trace_id=record.trace_id)
-
-
-#: Public name for the fold (capsule recorders fold the same streams).
-fold_event = _fold
-
 
 class EventJournal:
-    """Bounded fold of every event stream, in arrival order.
+    """Bounded view of the event stream, in arrival order.
 
     Arrival order equals time order here because every producer records
     events at its own simulated ``now`` and the collector notifies
-    listeners synchronously.  ``capacity`` bounds retained rows (oldest
-    dropped first; :attr:`dropped` counts casualties); ``sink`` tees
-    each row out as it arrives, so a bounded journal can still leave a
-    complete JSONL audit trail on disk.
+    listeners synchronously.  ``capacity`` bounds retained events
+    (oldest dropped first; :attr:`dropped` counts casualties); ``sink``
+    tees each row out as it arrives, so a bounded journal can still
+    leave a complete JSONL audit trail on disk.
     """
 
     def __init__(self, capacity: int = 4096,
@@ -160,33 +52,24 @@ class EventJournal:
             raise ObsError(f"journal capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self.sink = sink
-        self._events: List[JournalEvent] = []
-        self.dropped = 0
+        self._events: Deque[Event] = deque(maxlen=capacity)
         self.total = 0
 
-    def observe(self, source: str, record) -> JournalEvent:
-        """Fold one source record in (the collector-listener entry)."""
-        event = self._fold_and_append(_fold(source, record))
-        return event
+    @property
+    def dropped(self) -> int:
+        """Events pushed out by the capacity bound."""
+        return self.total - len(self._events)
 
-    def append(self, event: JournalEvent) -> JournalEvent:
-        """Append an already-folded row (synthetic/bridge events)."""
-        return self._fold_and_append(event)
-
-    def _fold_and_append(self, event: JournalEvent) -> JournalEvent:
+    def observe(self, event: Event) -> None:
+        """Keep one event (the collector-listener entry)."""
         self._events.append(event)
         self.total += 1
-        overflow = len(self._events) - self.capacity
-        if overflow > 0:
-            del self._events[:overflow]
-            self.dropped += overflow
         if self.sink is not None:
             self.sink.write(event)
-        return event
 
     def events(self, min_severity: str = "info",
-               source: Optional[str] = None) -> List[JournalEvent]:
-        """Retained rows at or above a severity, optionally per source."""
+               source: Optional[str] = None) -> List[Event]:
+        """Retained events at or above a severity, optionally per source."""
         floor = SEVERITY_ORDER.get(min_severity)
         if floor is None:
             raise ObsError(
@@ -225,6 +108,6 @@ class JsonlJournalSink(JsonlWriter):
         """Rows written so far."""
         return sum(self.counts.values())
 
-    def write(self, event: JournalEvent) -> None:
-        """Serialize one row (no-op after close)."""
-        self.write_record(event.to_dict())
+    def write(self, event: Event) -> None:
+        """Serialize one event's row (no-op after close)."""
+        self.write_record(event.journal_row())

@@ -160,7 +160,7 @@ class ServeReport:
         """Build the report for ``tenants`` from recorded serve events."""
         report = cls(engine_name=engine_name, duration_s=duration_s,
                      records=list(metrics.serves),
-                     health_events=list(metrics.health_events))
+                     health_events=metrics.events_of(HealthEventRecord))
         attributable = False
         for tenant in tenants:
             records = metrics.serve_records(tenant=tenant)

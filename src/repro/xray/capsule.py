@@ -1,8 +1,8 @@
 """Run capsules: one run, one versioned, deterministic artifact.
 
 A *capsule* bundles everything the xray tools need to explain a run
-after the fact -- config and seed, the full span/link trace, the folded
-event journal, serve records, telemetry time-series snapshots, clarity
+after the fact -- config and seed, the full span/link trace, the event
+journal, serve records, telemetry time-series snapshots, clarity
 windows, and the ServeReport summary -- into a single JSON-lines file
 that loads without re-simulation.
 
@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import CapsuleError
 from repro.jsonl import JsonlWriter
 from repro.metrics.events import JobRecord, ServeRecord
-from repro.obs.journal import JournalEvent, fold_event
 from repro.trace.spans import (SpanLink, SpanRecord, link_to_json,
                                span_to_json)
 
@@ -73,20 +72,6 @@ def _serve_to_json(record: ServeRecord) -> Dict[str, Any]:
 
 def _serve_from_json(line: Dict[str, Any]) -> ServeRecord:
     return ServeRecord(**{field: line[field] for field in _SERVE_FIELDS})
-
-
-def _journal_to_json(event: JournalEvent) -> Dict[str, Any]:
-    line: Dict[str, Any] = {"type": "journal"}
-    line.update(event.to_dict())
-    return line
-
-
-def _journal_from_json(line: Dict[str, Any]) -> JournalEvent:
-    return JournalEvent(
-        t=line["t"], severity=line["severity"], source=line["source"],
-        kind=line["kind"], subject=line["subject"],
-        detail=line.get("detail", ""), span_id=line.get("span_id", -1),
-        trace_id=line.get("trace_id", ""))
 
 
 def _span_from_json(line: Dict[str, Any]) -> SpanRecord:
@@ -130,10 +115,10 @@ class RunRecorder(JsonlWriter):
 
     :meth:`attach` registers the recorder both as a span sink (spans
     and links stream out as they close) and as an event listener
-    (fault/health/driver/alert records are folded into journal lines
-    through the same fold the obs journal uses; serve records become
-    serve lines).  :meth:`finalize` appends everything that only exists
-    at end of run; :meth:`close` writes the manifest footer.
+    (each event becomes a journal line holding the row the obs journal
+    writes; serve records become serve lines).  :meth:`finalize`
+    appends everything that only exists at end of run; :meth:`close`
+    writes the manifest footer.
     """
 
     def __init__(self, path: str, engine: str = "", seed: int = 0,
@@ -162,11 +147,11 @@ class RunRecorder(JsonlWriter):
         """Span-sink hook: stream one causal link into the capsule."""
         self.write_record(link_to_json(link))
 
-    def _on_event(self, source: str, record) -> None:
-        if source == "serve":
+    def _on_event(self, record) -> None:
+        if isinstance(record, ServeRecord):
             self.write_record(_serve_to_json(record))
         else:
-            self.write_record(_journal_to_json(fold_event(source, record)))
+            self.write_record({"type": "journal", **record.journal_row()})
 
     # -- finalization --------------------------------------------------------------
 
@@ -246,7 +231,8 @@ class Capsule:
         self.links: List[SpanLink] = []
         self.jobs: Dict[int, JobRecord] = {}
         self.serves: List[ServeRecord] = []
-        self.journal: List[JournalEvent] = []
+        #: Journal rows as dicts (the obs journal's row keys).
+        self.journal: List[Dict[str, Any]] = []
         #: One (name, labels, [[t, value], ...]) triple per series.
         self.telemetry: List[Tuple[str, Dict[str, str], List[List[float]]]] \
             = []
@@ -374,10 +360,6 @@ class Capsule:
             self.links.append(link)
             self._links_by_trace.setdefault(link.trace_id, []).append(link)
             self._body.append(("link", link))
-        elif kind == "journal":
-            event = _journal_from_json(line)
-            self.journal.append(event)
-            self._body.append(("journal", event))
         elif kind == "serve":
             record = _serve_from_json(line)
             self.serves.append(record)
@@ -391,14 +373,16 @@ class Capsule:
                       [list(point) for point in line["points"]])
             self.telemetry.append(series)
             self._body.append(("telemetry", series))
-        elif kind == "clarity":
-            self.clarity = {k: v for k, v in line.items()
-                            if k not in ("type", "schema")}
-            self._body.append(("clarity", self.clarity))
-        else:  # summary
-            self.summary = {k: v for k, v in line.items()
-                            if k not in ("type", "schema")}
-            self._body.append(("summary", self.summary))
+        else:  # journal / clarity / summary: kept as dicts
+            payload = {k: v for k, v in line.items()
+                       if k not in ("type", "schema")}
+            if kind == "journal":
+                self.journal.append(payload)
+            elif kind == "clarity":
+                self.clarity = payload
+            else:
+                self.summary = payload
+            self._body.append((kind, payload))
 
     def save(self, path: str) -> None:
         """Re-serialize from the *parsed* objects (not raw lines).
@@ -415,8 +399,6 @@ class Capsule:
                     record = span_to_json(payload)
                 elif kind == "link":
                     record = link_to_json(payload)
-                elif kind == "journal":
-                    record = _journal_to_json(payload)
                 elif kind == "serve":
                     record = _serve_to_json(payload)
                 elif kind == "job":
@@ -425,7 +407,7 @@ class Capsule:
                     name, labels, points = payload
                     record = {"type": "telemetry", "name": name,
                               "labels": labels, "points": points}
-                else:  # clarity / summary
+                else:  # journal / clarity / summary
                     record = {"type": kind, **payload}
                 writer.write_record(record)
             writer.close(footer={

@@ -17,6 +17,7 @@ from repro.errors import PlanError
 from repro.faults import (BlockCorruption, FaultInjector, FaultPlan,
                           MachineCrash, StorageNodeCrash)
 from repro.health import HealthMonitor
+from repro.metrics.events import FaultEventRecord, HealthEventRecord
 
 ENGINES = ("monospark", "spark")
 RECORDS = [f"w{i % 17} w{i % 11}" for i in range(4000)]
@@ -83,7 +84,8 @@ class TestStorageNodeCrash:
                                            plan=plan)
         assert results == expected
         assert service.live_node_count == 2
-        assert [f.kind for f in ctx.metrics.faults] == ["storage-crash"]
+        assert [f.kind for f in ctx.metrics.events_of(FaultEventRecord)] \
+            == ["storage-crash"]
 
     def test_restart_brings_the_node_back(self, engine):
         _, _, expected, _ = run_job(engine, disaggregated=False)
@@ -109,7 +111,8 @@ class TestCorruption:
         assert stats["failovers"] == 1
         assert stats["re_replications"] == 1
         assert service.suspicion_counts() == {0: 1}
-        events = [(h.kind, h.machine_id) for h in ctx.metrics.health_events]
+        events = [(h.kind, h.machine_id)
+                  for h in ctx.metrics.events_of(HealthEventRecord)]
         assert ("integrity-fault", service.node_machine_id(0)) in events
 
     def test_suspicions_land_in_health_monitor(self, engine):
@@ -168,5 +171,6 @@ class TestPlanValidation:
         FaultInjector(ctx.engine, plan).start()
         rdd = ctx.parallelize(["a b", "b c"], num_partitions=2)
         assert rdd.count() > 0
-        skipped = [f for f in ctx.metrics.faults if "skipped" in f.kind]
+        skipped = [f for f in ctx.metrics.events_of(FaultEventRecord)
+                   if "skipped" in f.kind]
         assert len(skipped) == 1

@@ -20,6 +20,7 @@ from repro.datamodel import Partition
 from repro.errors import PlanError
 from repro.faults import (DiskFault, FaultInjector, FaultPlan, MachineCrash,
                           RecoveryPolicy, TransientSlowdown, random_plan)
+from repro.metrics.events import FaultEventRecord
 from repro.simulator.rng import RngStreams
 
 ENGINES = ["spark", "monospark"]
@@ -134,7 +135,8 @@ class TestCrashRecovery:
         crash_plan(ctx, at=duration * 0.5, restart_after=duration * 0.5)
         crashed = sort_records(ctx)
         assert sorted(crashed) == expected
-        assert [fault.kind for fault in ctx.metrics.faults] == \
+        assert [fault.kind for fault
+                in ctx.metrics.events_of(FaultEventRecord)] == \
             ["machine-crash", "machine-restart"]
 
     def test_no_duplicate_outputs_from_retries(self, engine):
@@ -170,7 +172,8 @@ def fault_trace(metrics):
     return json.dumps({
         "tasks": [dataclasses.astuple(r) for r in metrics.tasks],
         "attempts": [dataclasses.astuple(r) for r in metrics.attempts],
-        "faults": [dataclasses.astuple(r) for r in metrics.faults],
+        "faults": [dataclasses.astuple(r)
+                   for r in metrics.events_of(FaultEventRecord)],
         "speculations": [dataclasses.astuple(r)
                          for r in metrics.speculations],
     })

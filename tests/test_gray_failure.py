@@ -25,6 +25,7 @@ from repro.faults import (DiskFault, FaultInjector, FaultPlan, LinkPartition,
                           random_plan)
 from repro.health import (EXCLUDED, HEALTHY, Blacklist, HealthMonitor,
                           HealthPolicy, PROBATION)
+from repro.metrics.events import FaultEventRecord, HealthEventRecord
 from repro.serve import wordcount_template
 from repro.simulator.rng import RngStreams
 from repro.workloads.scaling import scaled_memory_overrides
@@ -186,11 +187,11 @@ class TestInjectorSkipsDeadTargets:
         ])
         FaultInjector(ctx.engine, plan).start()
         sort_records(ctx)
-        kinds = {(f.kind, f.detail) for f in ctx.metrics.faults}
+        faults = ctx.metrics.events_of(FaultEventRecord)
+        kinds = {(f.kind, f.detail) for f in faults}
         assert ("net-degradation-skipped", "target down") in kinds
         assert ("disk-failure-skipped", "target down") in kinds
-        assert not any(f.kind == "net-degradation" for f in
-                       ctx.metrics.faults)
+        assert not any(f.kind == "net-degradation" for f in faults)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +236,13 @@ class TestLinkPartition:
         FaultInjector(ctx.engine, plan).start()
         records = sort_records(ctx)
         assert sorted(records) == expected
-        kinds = [f.kind for f in ctx.metrics.faults]
+        kinds = [f.kind for f in ctx.metrics.events_of(FaultEventRecord)]
         assert "link-partition" in kinds
         env = ctx.cluster.env
         env.run()
         assert env.queue_size == 0
-        assert "link-heal" in [f.kind for f in ctx.metrics.faults]
+        assert "link-heal" in [
+            f.kind for f in ctx.metrics.events_of(FaultEventRecord)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,8 @@ class TestHealthMonitor:
         monitor.stop()
         ctx.engine.env.run()
 
-        excludes = ctx.metrics.health_records(kind="exclude")
+        excludes = [h for h in ctx.metrics.events_of(HealthEventRecord)
+                    if h.kind == "exclude"]
         assert excludes and excludes[0].machine_id == 1
         assert excludes[0].resource == "network"
         assert 1 in ctx.engine.excluded_machines
@@ -387,11 +390,12 @@ class TestHealthMonitor:
         monitor.stop()
         ctx.engine.env.run()
 
-        excludes = ctx.metrics.health_records(kind="exclude", machine_id=1)
+        health = [h for h in ctx.metrics.events_of(HealthEventRecord)
+                  if h.machine_id == 1]
+        excludes = [h for h in health if h.kind == "exclude"]
         assert excludes
         excluded_at = excludes[0].at
-        probations = ctx.metrics.health_records(kind="probation",
-                                                machine_id=1)
+        probations = [h for h in health if h.kind == "probation"]
         window_end = (probations[0].at if probations
                       else ctx.engine.env.now)
         late = [a for a in ctx.metrics.attempts
@@ -412,7 +416,8 @@ class TestHealthMonitor:
         monitor.stop()
         ctx.engine.env.run()
 
-        assert ctx.metrics.health_records(kind="exclude") == []
+        assert [h for h in ctx.metrics.events_of(HealthEventRecord)
+                if h.kind == "exclude"] == []
         assert not ctx.engine.excluded_machines
 
     def test_healed_degradation_leads_to_reinstatement(self):
@@ -428,7 +433,7 @@ class TestHealthMonitor:
         monitor.stop()
         ctx.engine.env.run()
 
-        kinds = [h.kind for h in ctx.metrics.health_events
+        kinds = [h.kind for h in ctx.metrics.events_of(HealthEventRecord)
                  if h.machine_id == 1]
         assert "exclude" in kinds
         assert "reinstate" in kinds
@@ -448,7 +453,7 @@ class TestHealthMonitor:
             ctx.engine.env.run()
             return json.dumps({
                 "health": [dataclasses.astuple(h)
-                           for h in ctx.metrics.health_events],
+                           for h in ctx.metrics.events_of(HealthEventRecord)],
                 "transfers": [dataclasses.astuple(t)
                               for t in ctx.metrics.transfers],
                 "attempts": [dataclasses.astuple(a)

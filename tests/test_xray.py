@@ -368,14 +368,14 @@ class TestSinkSatellites:
         assert json.loads(line)["schema"] == TRACE_SCHEMA
 
     def test_journal_sink_context_manager_flush_and_schema(self, tmp_path):
+        from repro.metrics.events import HealthEventRecord
         from repro.obs.journal import (JOURNAL_SCHEMA, EventJournal,
-                                       JournalEvent, JsonlJournalSink)
+                                       JsonlJournalSink)
         path = tmp_path / "journal.jsonl"
         with JsonlJournalSink(str(path)) as sink:
             journal = EventJournal(sink=sink)
-            journal.append(JournalEvent(t=1.0, severity="info",
-                                        source="test", kind="k",
-                                        subject="machine 0"))
+            journal.observe(HealthEventRecord(kind="reinstate",
+                                              machine_id=0, at=1.0))
             sink.flush()
             assert path.read_text()
         (line,) = path.read_text().splitlines()
