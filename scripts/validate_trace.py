@@ -4,7 +4,8 @@ For Chrome Trace Event Format JSON files, checks the subset of the spec
 our exporter emits: JSON object form with a ``traceEvents`` array, known
 phase codes, required keys per phase, numeric non-negative
 timestamps/durations, paired flow (``s``/``f``) and async (``b``/``e``)
-events, and metadata events carrying the args the spec requires.
+events, instant (``i``) events with a known scope, and metadata events
+carrying the args the spec requires.
 
 For run capsules (``repro xray record`` JSONL files, detected by their
 ``{"type": "capsule", ...}`` header line), checks the envelope every
@@ -34,7 +35,10 @@ CAPSULE_LINE_TYPES = ("capsule", "span", "link", "journal", "serve",
                       "manifest")
 
 #: Phases our exporter emits; anything else is an error.
-KNOWN_PHASES = {"X", "M", "s", "f", "b", "e"}
+KNOWN_PHASES = {"X", "M", "s", "f", "b", "e", "i"}
+
+#: Instant-event scopes: global, process, thread.
+INSTANT_SCOPES = {"g", "p", "t"}
 
 #: Keys every event must carry, beyond phase-specific ones.
 COMMON_KEYS = {"name", "ph", "pid"}
@@ -99,6 +103,8 @@ def validate_events(events):
                 yield f"{where}: async event without id"
             else:
                 nestable[ph].append((event.get("cat"), event["id"]))
+        elif ph == "i" and event.get("s") not in INSTANT_SCOPES:
+            yield f"{where}: bad instant scope {event.get('s')!r}"
     for fid in flow["s"]:
         if fid not in flow["f"]:
             yield f"flow id {fid!r} starts but never finishes"
