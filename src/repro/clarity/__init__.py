@@ -4,8 +4,6 @@ Four siloed subsystems -- serving (:mod:`repro.serve`), causal tracing
 (:mod:`repro.trace`), the ideal model (:mod:`repro.model`), and metrics
 -- become one observability story:
 
-* :class:`TimeSeriesStore` -- bounded per-series ring buffers with
-  windowed aggregation, backing sampled telemetry;
 * :class:`ClarityAggregator` -- folds each completed job's
   critical-path attribution into rolling windows that answer "which
   resource/machine is the cluster's bottleneck over the last N
@@ -16,43 +14,18 @@ Four siloed subsystems -- serving (:mod:`repro.serve`), causal tracing
 * :mod:`repro.clarity.validate` -- checks the advisor's ranking and
   error envelope against ground-truth re-simulation.
 
+Sampled telemetry and its ring-buffered history
+(:class:`repro.trace.TimeSeriesStore`) live in :mod:`repro.trace`.
 See ``docs/clarity.md``.
 """
 
-# Only tsdb is imported eagerly: repro.trace.telemetry imports it from
-# here, and the aggregator/advisor modules import repro.trace and
-# repro.model back -- eager imports would cycle.  The rest of the public
-# names resolve lazily (PEP 562) once the package graph is complete.
-from repro.clarity.tsdb import AGGREGATIONS, Labels, TimeSeriesStore
-
-_LAZY = {
-    "ClarityAggregator": "repro.clarity.aggregator",
-    "JobClarity": "repro.clarity.aggregator",
-    "BottleneckWindow": "repro.clarity.aggregator",
-    "CapacityAdvisor": "repro.clarity.advisor",
-    "Candidate": "repro.clarity.advisor",
-    "Recommendation": "repro.clarity.advisor",
-    "AdvisorReport": "repro.clarity.advisor",
-    "default_candidates": "repro.clarity.advisor",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+from repro.clarity.advisor import (AdvisorReport, Candidate,
+                                   CapacityAdvisor, Recommendation,
+                                   default_candidates)
+from repro.clarity.aggregator import (BottleneckWindow, ClarityAggregator,
+                                      JobClarity)
 
 __all__ = [
-    "TimeSeriesStore",
-    "Labels",
-    "AGGREGATIONS",
     "ClarityAggregator",
     "JobClarity",
     "BottleneckWindow",

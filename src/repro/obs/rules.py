@@ -62,7 +62,7 @@ def _check_common(name: str, severity: str, for_s: float) -> None:
 class ThresholdRule:
     """Fire when ``agg(metric[window_s]) op threshold`` holds.
 
-    ``agg`` is any :data:`repro.clarity.tsdb.AGGREGATIONS` name or a
+    ``agg`` is any :data:`repro.trace.tsdb.AGGREGATIONS` name or a
     ``pNN`` percentile.  ``exemplar_metric`` names the series whose
     recorded exemplar a firing alert links to (defaults to the rule's
     own metric; the observability plane falls back to its global

@@ -4,7 +4,8 @@ The paper's performance-clarity thesis as a subsystem: spans record the
 causal structure of execution (:mod:`repro.trace.spans`), the critical
 path explains where a job's wall-clock time went
 (:mod:`repro.trace.critpath`), and telemetry exposes live cluster state
-(:mod:`repro.trace.telemetry`).
+(:mod:`repro.trace.telemetry`) with its history in bounded per-series
+ring buffers (:mod:`repro.trace.tsdb`).
 """
 
 from repro.trace.critpath import (CriticalPathReport, PathSegment,
@@ -18,6 +19,7 @@ from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                TraceContext, link_to_json, span_to_json)
 from repro.trace.telemetry import (TelemetryRegistry, TelemetrySample,
                                    TelemetrySampler, render_prometheus)
+from repro.trace.tsdb import AGGREGATIONS, Labels, TimeSeriesStore
 
 __all__ = [
     "TraceContext",
@@ -43,4 +45,7 @@ __all__ = [
     "TelemetrySampler",
     "TelemetrySample",
     "render_prometheus",
+    "TimeSeriesStore",
+    "Labels",
+    "AGGREGATIONS",
 ]

@@ -22,9 +22,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.clarity.tsdb import TimeSeriesStore
 from repro.errors import SimulationError
 from repro.simulator import Environment
+from repro.trace.tsdb import TimeSeriesStore
 
 __all__ = [
     "TelemetryRegistry",
@@ -62,7 +62,7 @@ class TelemetryRegistry:
     """Named gauge/counter series backed by live callbacks.
 
     Sampled history lives in a per-series ring-buffer
-    :class:`~repro.clarity.tsdb.TimeSeriesStore` (``capacity_per_series``
+    :class:`~repro.trace.tsdb.TimeSeriesStore` (``capacity_per_series``
     points per series, optionally age-bounded by ``retention_s``), so an
     always-on serving run holds a sliding window of telemetry rather
     than an ever-growing flat list, and :meth:`history` is a per-series

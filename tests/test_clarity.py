@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.clarity import (AGGREGATIONS, CapacityAdvisor, ClarityAggregator,
-                           TimeSeriesStore, default_candidates)
+from repro.clarity import (CapacityAdvisor, ClarityAggregator,
+                           default_candidates)
 from repro.clarity.advisor import Candidate
 from repro.clarity.validate import (ClarityWorkload, run_clarity_serving,
                                     validate_advisor)
@@ -11,6 +11,7 @@ from repro.cluster import ssd_cluster
 from repro.config import MB, SSD
 from repro.errors import ClarityError
 from repro.model import WhatIf, hardware_profile
+from repro.trace import AGGREGATIONS, TimeSeriesStore
 from repro.trace.telemetry import TelemetryRegistry
 
 #: A small, fast serving workload shared by the pipeline tests.

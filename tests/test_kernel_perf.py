@@ -9,10 +9,10 @@ shared percentile helper guards its edge cases.
 
 import pytest
 
-from repro.clarity.tsdb import TimeSeriesStore
 from repro.errors import ClarityError, SimulationError
 from repro.simulator import BusyTracker, Environment
 from repro.stats import percentile
+from repro.trace.tsdb import TimeSeriesStore
 
 
 def drive_tracker(total_s: float, retention_s, period_s: float = 1.0):
@@ -208,8 +208,8 @@ class TestSharedPercentile:
     def test_both_call_sites_share_the_helper(self):
         # The metrics and tsdb percentile paths must be the one stats
         # helper, not parallel reimplementations that can drift.
-        from repro.clarity import tsdb
         from repro.metrics import utilization
+        from repro.trace import tsdb
         assert utilization.percentile is percentile
         assert tsdb._shared_percentile is percentile
 
