@@ -50,7 +50,6 @@ def main():
           f"t={DEGRADE_AT:.0f}s; tenant 'analytics' holds a "
           f"{SLO_S:g}s SLO ==\n")
     report = server.run()
-    obs.close()
 
     print("alert timeline (what the on-call sees, in order):")
     for record in obs.alert_timeline():

@@ -13,10 +13,11 @@ span tracing and live telemetry enabled, then asks the clarity question:
   partitions the window, but every segment is the pseudo-resource
   ``task`` and the report says NOT ATTRIBUTABLE instead of pretending.
 
-Along the way the run streams every span to a JSONL sink, samples
-telemetry gauges once per simulated second, exports a Chrome/Perfetto
-trace (with shuffle flow arrows and driver-side job/stage spans), and
-prints a Prometheus text-exposition snapshot.
+Along the way each run records a run capsule (every span and link, as
+they close), samples telemetry gauges once per simulated second,
+exports a Chrome/Perfetto trace (with shuffle flow arrows and
+driver-side job/stage spans), and prints a Prometheus text-exposition
+snapshot.
 
 Run:  python examples/tracing.py
 Artifacts land in $REPRO_TRACE_DIR (default: the system temp dir).
@@ -27,9 +28,10 @@ import tempfile
 
 from repro import AnalyticsContext, MB, hdd_cluster
 from repro.metrics.chrometrace import write_chrome_trace
-from repro.trace import (JsonlSpanSink, TelemetryRegistry, TelemetrySampler,
-                         critical_path, render_prometheus)
+from repro.trace import (TelemetryRegistry, TelemetrySampler, critical_path,
+                         render_prometheus)
 from repro.workloads.wordcount import generate_text_input, word_count
+from repro.xray import RunRecorder
 
 MACHINES = 2
 SEED = 42
@@ -42,9 +44,9 @@ def run(engine):
                         block_bytes=64 * MB, seed=SEED)
     ctx = AnalyticsContext(cluster, engine=engine)
 
-    spans_path = os.path.join(OUT_DIR, f"tracing-{engine}-spans.jsonl")
-    sink = JsonlSpanSink(spans_path)
-    ctx.metrics.add_span_sink(sink)
+    capsule_path = os.path.join(OUT_DIR, f"tracing-{engine}.capsule")
+    recorder = RunRecorder(capsule_path, engine=engine, seed=SEED)
+    recorder.attach(ctx.metrics)
 
     registry = TelemetryRegistry()
     ctx.engine.register_telemetry(registry)
@@ -54,14 +56,15 @@ def run(engine):
     word_count(ctx)
 
     sampler.stop()
-    sink.close()
-    return ctx, registry, spans_path
+    recorder.finalize(telemetry=registry)
+    recorder.close()
+    return ctx, registry, capsule_path
 
 
 def main():
     snapshot = None
     for engine in ("monospark", "spark"):
-        ctx, registry, spans_path = run(engine)
+        ctx, registry, capsule_path = run(engine)
         if engine == "monospark":
             snapshot = (registry, ctx.engine.env.now)
         job_id = ctx.last_result.job_id
@@ -75,7 +78,7 @@ def main():
         kinds = "  ".join(f"{kind}={count}"
                           for kind, count in sorted(by_kind.items()))
         print(f"spans: {len(spans)} ({kinds}), links: {len(links)}")
-        print(f"span stream: {spans_path}")
+        print(f"run capsule: {capsule_path}")
 
         trace_path = os.path.join(OUT_DIR, f"tracing-{engine}.json")
         result = write_chrome_trace(ctx.metrics, trace_path, job_id=job_id)

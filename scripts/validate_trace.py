@@ -24,9 +24,9 @@ import json
 import numbers
 import sys
 
-#: Capsule schema versions this validator understands.  Kept in sync
-#: with ``repro.xray.capsule.KNOWN_SCHEMAS`` (the script stays
-#: stdlib-only so it can run anywhere).
+#: Capsule schema versions this validator understands.  Equal to
+#: ``repro.xray.capsule.KNOWN_SCHEMAS`` (a test checks both copies; the
+#: script stays stdlib-only so it can run anywhere).
 KNOWN_CAPSULE_SCHEMAS = (1,)
 
 #: Line types a capsule may contain (repro.xray.capsule.LINE_TYPES).
@@ -173,12 +173,17 @@ def validate_capsule_lines(lines):
 
 
 def validate_file(path):
-    """Validate one artifact; returns a list of error strings."""
+    """Validate one artifact.
+
+    Returns ``(kind, count, errors)``: ``kind`` is ``"capsule"`` (count
+    of lines) or ``"trace"`` (count of trace events), and ``errors`` a
+    list of error strings, empty when the file validates.
+    """
     try:
         with open(path) as handle:
             first = handle.readline()
     except OSError as error:
-        return [f"cannot load {path}: {error}"]
+        return "trace", 0, [f"cannot load {path}: {error}"]
     try:
         sniff = json.loads(first) if first.strip() else None
     except ValueError:
@@ -186,15 +191,18 @@ def validate_file(path):
     if isinstance(sniff, dict) and sniff.get("type") == "capsule":
         with open(path) as handle:
             lines = [line for line in handle if line.strip()]
-        return list(validate_capsule_lines(lines))
+        return "capsule", len(lines), list(validate_capsule_lines(lines))
     try:
         with open(path) as handle:
             trace = json.load(handle)
     except (OSError, ValueError) as error:
-        return [f"cannot load {path}: {error}"]
+        return "trace", 0, [f"cannot load {path}: {error}"]
     if not isinstance(trace, dict) or "traceEvents" not in trace:
-        return ["not the JSON-object trace form (no traceEvents key)"]
-    return list(validate_events(trace["traceEvents"]))
+        return "trace", 0, [
+            "not the JSON-object trace form (no traceEvents key)"]
+    events = trace["traceEvents"]
+    count = len(events) if isinstance(events, list) else 0
+    return "trace", count, list(validate_events(events))
 
 
 def main(argv):
@@ -203,22 +211,15 @@ def main(argv):
         return 2
     failed = False
     for path in argv:
-        errors = validate_file(path)
+        kind, count, errors = validate_file(path)
         if errors:
             failed = True
             print(f"FAIL {path}")
             for error in errors:
                 print(f"  {error}")
+        elif kind == "capsule":
+            print(f"ok   {path} (capsule, {count} lines)")
         else:
-            with open(path) as handle:
-                first = handle.readline()
-                if first.strip().startswith("{\"type\": \"capsule\"") or \
-                        first.strip().startswith('{"type":"capsule"'):
-                    count = sum(1 for line in handle if line.strip()) + 1
-                    print(f"ok   {path} (capsule, {count} lines)")
-                    continue
-            with open(path) as handle:
-                count = len(json.load(handle)["traceEvents"])
             print(f"ok   {path} ({count} events)")
     return 1 if failed else 0
 

@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="trace.json")
     p.add_argument("--timeline", action="store_true",
                    help="also print the ASCII timeline")
-    p.add_argument("--spans-jsonl", default=None,
-                   help="also stream spans/links to this JSONL file")
+    p.add_argument("--capsule", default=None,
+                   help="also record the run into this capsule file")
     p.add_argument("--workload", default="wordcount",
                    choices=["wordcount", "sort"],
                    help="wordcount (map-only-ish) or sort (shuffle-"
@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-severity", default="info",
                    choices=["info", "warning", "critical"],
                    help="events: lowest journal severity to print")
-    p.add_argument("--journal", default=None,
-                   help="also tee the journal to this JSONL file")
+    p.add_argument("--capsule", default=None,
+                   help="also record the run, journal included, into "
+                        "this capsule file")
     p.add_argument("--no-monitor", action="store_true",
                    help="run without the health monitor (alerts still "
                         "fire; nothing excludes the machine)")
@@ -379,6 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. fig05, fig11, sort, ablation_write_policy; "
                         "'list' shows all targets")
     return parser
+
+
+def _capsule_recorder(args, metrics, **config):
+    """A :class:`~repro.xray.RunRecorder` on ``--capsule``, attached to
+    ``metrics`` (None without the flag)."""
+    if not args.capsule:
+        return None
+    from repro.xray import RunRecorder
+    config.update(machines=args.machines, disks=args.disks, kind=args.kind,
+                  fraction=args.fraction)
+    return RunRecorder(args.capsule, engine=args.engine, seed=args.seed,
+                       config=config).attach(metrics)
 
 
 def _make_cluster(args):
@@ -491,14 +504,11 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.trace import JsonlSpanSink, critical_path
+    from repro.trace import critical_path
 
     cluster = _make_cluster(args)
     ctx = AnalyticsContext(cluster, engine=args.engine)
-    sink = None
-    if args.spans_jsonl:
-        sink = JsonlSpanSink(args.spans_jsonl)
-        ctx.metrics.add_span_sink(sink)
+    recorder = _capsule_recorder(args, ctx.metrics, workload=args.workload)
     if args.workload == "sort":
         workload = SortWorkload(total_bytes=600 * GB * args.fraction,
                                 values_per_key=25,
@@ -510,10 +520,11 @@ def _cmd_trace(args) -> int:
                             block_bytes=64 * MB, seed=args.seed)
         word_count(ctx)
     job_id = ctx.last_result.job_id
-    if sink is not None:
-        sink.close()
-        print(f"wrote {sink.spans_written} spans and {sink.links_written} "
-              f"links to {args.spans_jsonl}")
+    if recorder is not None:
+        recorder.finalize()
+        recorder.close()
+        print(f"wrote {recorder.counts.get('span', 0)} spans and "
+              f"{recorder.counts.get('link', 0)} links to {args.capsule}")
     if args.engine == "monospark" and args.timeline:
         print(render_timeline(ctx.metrics, job_id))
     if args.action == "critical-path":
@@ -858,8 +869,12 @@ def _cmd_obs(args) -> int:
     monitor = None
     if not args.no_monitor:
         monitor = HealthMonitor(ctx.engine, HealthPolicy())
-    obs = ObservabilityPlane(journal_path=args.journal)
+    obs = ObservabilityPlane()
     server = JobServer(ctx, seed=args.seed, health=monitor, obs=obs)
+    recorder = _capsule_recorder(
+        args, ctx.metrics, degrade_machine=args.degrade_machine,
+        degrade_at=args.degrade_at, factor=args.factor, jobs=args.jobs,
+        period=args.period, slo=args.slo, monitor=not args.no_monitor)
     server.add_tenant("analytics", slo_s=args.slo)
     template = wordcount_template(ctx, num_blocks=args.machines,
                                   block_mb=16.0, seed=args.seed)
@@ -890,7 +905,9 @@ def _cmd_obs(args) -> int:
         env.process(follow())
 
     report = server.run()
-    obs.close()
+    if recorder is not None:
+        recorder.finalize(report=report, telemetry=obs.registry)
+        recorder.close()
     if args.action == "watch":
         firing = obs.firing()
         names = [f"{a.rule}{{{_labels_str(a)}}}" for a in firing]
@@ -898,9 +915,9 @@ def _cmd_obs(args) -> int:
         return 0
     if args.action == "events":
         print(obs.journal.format(min_severity=args.min_severity))
-        if args.journal:
-            print(f"\nwrote {obs.journal_sink.written} journal events "
-                  f"to {args.journal}")
+        if recorder is not None:
+            print(f"\nwrote {recorder.counts.get('journal', 0)} journal "
+                  f"events to {args.capsule}")
         return 0
     print(report.format())
     return 0

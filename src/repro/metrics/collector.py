@@ -5,9 +5,11 @@ Besides the flat per-record lists, the collector owns the *span tree*
 of every job (:mod:`repro.trace.spans`): it mints span ids, opens and
 closes job/stage/attempt spans, synthesizes monotask leaf spans from
 :class:`MonotaskRecord` self-reports, and records causal links (DAG
-edges, shuffle fetches, queue waits, retries, speculation).  Attached
-sinks (:class:`~repro.trace.sink.JsonlSpanSink`) stream spans out as
-they close, so long serving runs need not hold their trace in memory.
+edges, shuffle fetches, queue waits, retries, speculation).  An
+attached sink (:class:`~repro.xray.capsule.RunRecorder`) streams spans
+out as they close into a run capsule, and a loaded
+:class:`~repro.xray.capsule.Capsule` is a collector refilled from that
+file, so every span query reads one store, live or on disk.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class MetricsCollector:
         return next(self._span_ids)
 
     def add_span_sink(self, sink) -> None:
-        """Stream closed spans and links to ``sink`` (JSONL et al.)."""
+        """Stream closed spans and links to ``sink`` (a run recorder)."""
         self._sinks.append(sink)
 
     def record_span(self, span: SpanRecord) -> None:

@@ -16,7 +16,7 @@ produce, this package adds the *online* half of performance clarity:
   carry the critical-path span of the worst recent contributor;
 * a bounded event journal (:mod:`repro.obs.journal`) keeping the one
   stream of fault, health, driver, and alert events as a
-  severity-leveled, JSONL-sinkable timeline;
+  severity-leveled timeline (a run capsule persists the whole stream);
 * self-overhead accounting: the plane measures its own wall-clock cost
   per simulated second, and the benchmark budget-gates it.
 
@@ -27,7 +27,7 @@ and control-plane layers take via their ``obs=`` parameter.
 from repro.obs.alerts import Alert, AlertEngine, format_labels
 from repro.obs.drift import DriftVerdict, ModelDriftDetector
 from repro.obs.exemplars import WORST_JOB_METRIC, Exemplar, ExemplarStore
-from repro.obs.journal import EventJournal, JsonlJournalSink
+from repro.obs.journal import EventJournal
 from repro.obs.plane import ObservabilityPlane
 from repro.obs.rules import (OPS, SEVERITIES, AbsenceRule, BurnRateRule,
                              ThresholdRule, exemplar_metric_of,
@@ -43,7 +43,6 @@ __all__ = [
     "ExemplarStore",
     "WORST_JOB_METRIC",
     "EventJournal",
-    "JsonlJournalSink",
     "ObservabilityPlane",
     "ThresholdRule",
     "AbsenceRule",

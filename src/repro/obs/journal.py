@@ -9,30 +9,23 @@ means reading them in time order, and the journal keeps them *online*,
 via the metrics collector's event-listener hook.
 
 The journal is bounded (oldest dropped first, with a drop counter, so
-an always-on serving run cannot grow it without limit) and optionally
-tees every event to a :class:`JsonlJournalSink` as it arrives.  Like
-``JsonlSpanSink`` and run capsules, the sink writes through
-:class:`repro.jsonl.JsonlWriter` -- one JSON object per line, encoded
-in one shot, no trailing buffering, deterministic key order.
+an always-on serving run cannot grow it without limit).  The complete
+stream persists in a run capsule (:class:`repro.xray.RunRecorder`),
+one ``journal`` line per event holding :meth:`Event.journal_row`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import IO, Deque, List, Optional, Union
+from typing import Deque, List, Optional
 
 from repro.errors import ObsError
-from repro.jsonl import JsonlWriter
 from repro.metrics.events import Event
 
-__all__ = ["EventJournal", "JsonlJournalSink", "SEVERITY_ORDER",
-           "JOURNAL_SCHEMA"]
+__all__ = ["EventJournal", "SEVERITY_ORDER"]
 
 #: Severity ranks, least to most urgent (journal filters compare ranks).
 SEVERITY_ORDER = {"info": 0, "warning": 1, "critical": 2}
-
-#: Version stamped into every JSONL line the journal sink writes.
-JOURNAL_SCHEMA = 1
 
 
 class EventJournal:
@@ -41,17 +34,13 @@ class EventJournal:
     Arrival order equals time order here because every producer records
     events at its own simulated ``now`` and the collector notifies
     listeners synchronously.  ``capacity`` bounds retained events
-    (oldest dropped first; :attr:`dropped` counts casualties); ``sink``
-    tees each row out as it arrives, so a bounded journal can still
-    leave a complete JSONL audit trail on disk.
+    (oldest dropped first; :attr:`dropped` counts casualties).
     """
 
-    def __init__(self, capacity: int = 4096,
-                 sink: Optional["JsonlJournalSink"] = None) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ObsError(f"journal capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        self.sink = sink
         self._events: Deque[Event] = deque(maxlen=capacity)
         self.total = 0
 
@@ -64,8 +53,6 @@ class EventJournal:
         """Keep one event (the collector-listener entry)."""
         self._events.append(event)
         self.total += 1
-        if self.sink is not None:
-            self.sink.write(event)
 
     def events(self, min_severity: str = "info",
                source: Optional[str] = None) -> List[Event]:
@@ -90,24 +77,3 @@ class EventJournal:
             return "(journal empty)"
         return "\n".join(event.format() for event in rows)
 
-
-class JsonlJournalSink(JsonlWriter):
-    """Streams journal rows to a JSON-lines file as they happen.
-
-    A :class:`repro.jsonl.JsonlWriter`, like ``repro.trace.JsonlSpanSink``:
-    one compact JSON object per line stamped with :data:`JOURNAL_SCHEMA`,
-    on a path or a borrowed handle; idempotent :meth:`close`, usable as
-    a context manager, and rows arriving after close are dropped.
-    """
-
-    def __init__(self, path_or_handle: Union[str, IO[str]]) -> None:
-        super().__init__(path_or_handle, JOURNAL_SCHEMA)
-
-    @property
-    def written(self) -> int:
-        """Rows written so far."""
-        return sum(self.counts.values())
-
-    def write(self, event: Event) -> None:
-        """Serialize one event's row (no-op after close)."""
-        self.write_record(event.journal_row())

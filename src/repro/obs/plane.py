@@ -42,7 +42,7 @@ from repro.metrics.events import ServeRecord
 from repro.obs.alerts import Alert, AlertEngine
 from repro.obs.drift import DriftVerdict, ModelDriftDetector
 from repro.obs.exemplars import WORST_JOB_METRIC, Exemplar, ExemplarStore
-from repro.obs.journal import EventJournal, JsonlJournalSink
+from repro.obs.journal import EventJournal
 from repro.obs.rules import (AbsenceRule, BurnRateRule, ThresholdRule)
 from repro.trace.telemetry import TelemetryRegistry
 
@@ -82,9 +82,8 @@ class ObservabilityPlane:
     ``interval_s`` is the evaluation cadence (simulated seconds);
     ``drift_envelope`` the tolerated measured/modeled ratio;
     ``source_slow_threshold`` the relative-throughput floor below which
-    a source machine's uplink is declared sick; ``journal_path`` tees
-    the journal to a JSONL file.  ``default_rules=False`` starts with
-    an empty rulebook (add your own via :meth:`add_rule`).
+    a source machine's uplink is declared sick.  ``default_rules=False``
+    starts with an empty rulebook (add your own via :meth:`add_rule`).
     """
 
     def __init__(self, interval_s: float = 1.0,
@@ -95,7 +94,6 @@ class ObservabilityPlane:
                  capacity_per_series: int = 4096,
                  retention_s: Optional[float] = None,
                  journal_capacity: int = 4096,
-                 journal_path: Optional[str] = None,
                  default_rules: bool = True) -> None:
         if not interval_s > 0:
             raise ObsError(
@@ -113,10 +111,7 @@ class ObservabilityPlane:
             capacity_per_series=capacity_per_series,
             retention_s=retention_s)
         self.exemplars = ExemplarStore()
-        self.journal_sink = (JsonlJournalSink(journal_path)
-                             if journal_path is not None else None)
-        self.journal = EventJournal(capacity=journal_capacity,
-                                    sink=self.journal_sink)
+        self.journal = EventJournal(capacity=journal_capacity)
         #: Built at :meth:`attach` (needs the collector for records).
         self.alerts: Optional[AlertEngine] = None
         self.drift: Optional[ModelDriftDetector] = None
@@ -344,12 +339,6 @@ class ObservabilityPlane:
     def stop(self) -> None:
         """Stop after the current tick (idempotent)."""
         self._running = False
-
-    def close(self) -> None:
-        """Stop and flush the journal sink, if any."""
-        self.stop()
-        if self.journal_sink is not None:
-            self.journal_sink.close()
 
     def _run(self):
         while self._running:

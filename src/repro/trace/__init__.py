@@ -10,7 +10,6 @@ ring buffers (:mod:`repro.trace.tsdb`).
 
 from repro.trace.critpath import (CriticalPathReport, PathSegment,
                                   critical_path)
-from repro.trace.sink import JsonlSpanSink
 from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                LINK_REDISPATCH, LINK_RETRY,
                                LINK_SHUFFLE_FETCH, LINK_SPECULATION,
@@ -37,7 +36,6 @@ __all__ = [
     "LINK_REDISPATCH",
     "span_to_json",
     "link_to_json",
-    "JsonlSpanSink",
     "critical_path",
     "CriticalPathReport",
     "PathSegment",

@@ -17,8 +17,8 @@ leaves -- its blended tasks cannot be decomposed, which is the §6.6
 contrast in span form.
 
 Everything here is a plain dataclass so spans serialize losslessly to
-JSONL (:mod:`repro.trace.sink`) and to Chrome trace events
-(:mod:`repro.metrics.chrometrace`).
+run-capsule lines (:mod:`repro.xray.capsule`) and to Chrome trace
+events (:mod:`repro.metrics.chrometrace`).
 """
 
 from __future__ import annotations

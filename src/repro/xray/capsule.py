@@ -1,5 +1,8 @@
 """Run capsules: one run, one versioned, deterministic artifact.
 
+The capsule is the only JSON-lines file the simulator writes; spans,
+links and the event journal persist nowhere else.
+
 A *capsule* bundles everything the xray tools need to explain a run
 after the fact -- config and seed, the full span/link trace, the event
 journal, serve records, telemetry time-series snapshots, clarity
@@ -32,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CapsuleError
 from repro.jsonl import JsonlWriter
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import JobRecord, ServeRecord
 from repro.trace.spans import (SpanLink, SpanRecord, link_to_json,
                                span_to_json)
@@ -213,24 +217,21 @@ class RunRecorder(JsonlWriter):
             "lines": sum(counts.values()) + 2})
 
 
-class Capsule:
+class Capsule(MetricsCollector):
     """A loaded run capsule, queryable without re-simulation.
 
-    Duck-type compatible with the slice of
-    :class:`~repro.metrics.collector.MetricsCollector` that
-    :func:`repro.trace.critpath.critical_path` consumes (``jobs`` plus
-    ``spans_for_job``), so critical paths extract directly from a
-    loaded capsule.
+    A :class:`~repro.metrics.collector.MetricsCollector` filled from
+    the file: :meth:`load` replays spans, links and serve records
+    through ``record_span``, ``record_link`` and ``record_serve``, so
+    the per-job span queries and the cached critical paths are the
+    collector's own.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.path = ""
         self.header: Dict[str, Any] = {}
         self.manifest: Dict[str, Any] = {}
-        self.spans: List[SpanRecord] = []
-        self.links: List[SpanLink] = []
-        self.jobs: Dict[int, JobRecord] = {}
-        self.serves: List[ServeRecord] = []
         #: Journal rows as dicts (the obs journal's row keys).
         self.journal: List[Dict[str, Any]] = []
         #: One (name, labels, [[t, value], ...]) triple per series.
@@ -240,9 +241,6 @@ class Capsule:
         self.summary: Optional[Dict[str, Any]] = None
         #: Body line order, for byte-faithful :meth:`save`.
         self._body: List[Tuple[str, Any]] = []
-        self._spans_by_trace: Dict[str, List[SpanRecord]] = {}
-        self._links_by_trace: Dict[str, List[SpanLink]] = {}
-        self._critpath_cache: Dict[Tuple[int, str], Any] = {}
 
     # -- identity ------------------------------------------------------------------
 
@@ -261,30 +259,12 @@ class Capsule:
         """The scenario configuration dict from the capsule header."""
         return self.header.get("config", {})
 
-    # -- the collector duck type ---------------------------------------------------
-
-    def job_trace_id(self, job_id: int) -> str:
-        """The trace id a job's spans are keyed under (collector-compatible)."""
-        return f"job-{job_id}"
-
-    def spans_for_job(self, job_id: int) -> List[SpanRecord]:
-        """All recorded spans belonging to one job (collector-compatible)."""
-        return list(self._spans_by_trace.get(self.job_trace_id(job_id), ()))
-
-    def links_for_job(self, job_id: int) -> List[SpanLink]:
-        """All recorded causal links belonging to one job (collector-compatible)."""
-        return list(self._links_by_trace.get(self.job_trace_id(job_id), ()))
+    # -- queries -------------------------------------------------------------------
 
     def critical_path_report(self, job_id: int, engine: str = ""):
-        """The job's critical path, cached (mirrors the collector)."""
-        engine = engine or self.engine
-        key = (job_id, engine)
-        report = self._critpath_cache.get(key)
-        if report is None:
-            from repro.trace.critpath import critical_path
-            report = critical_path(self, job_id, engine=engine)
-            self._critpath_cache[key] = report
-        return report
+        """The job's critical path, attributed for the recorded engine
+        unless ``engine`` says otherwise."""
+        return super().critical_path_report(job_id, engine or self.engine)
 
     def completed_jobs(self) -> List[ServeRecord]:
         """Serve records of completed, traced requests, arrival order."""
@@ -300,7 +280,8 @@ class Capsule:
 
         Raises :class:`~repro.errors.CapsuleError` on a missing or
         unknown schema version, a missing header or manifest, or
-        manifest counts that disagree with the lines actually present.
+        manifest counts or a manifest line total that disagree with the
+        lines actually present.
         """
         capsule = cls()
         capsule.path = path
@@ -327,6 +308,11 @@ class Capsule:
             raise CapsuleError(
                 f"{path}: manifest counts {declared} disagree with "
                 f"observed lines {body_counts}")
+        lines = capsule.manifest.get("lines")
+        if lines is not None and lines != sum(counts.values()):
+            raise CapsuleError(
+                f"{path}: manifest says {lines} lines, file has "
+                f"{sum(counts.values())}")
         return capsule
 
     def _ingest(self, path: str, index: int, line: Dict[str, Any],
@@ -352,17 +338,15 @@ class Capsule:
             return
         if kind == "span":
             span = _span_from_json(line)
-            self.spans.append(span)
-            self._spans_by_trace.setdefault(span.trace_id, []).append(span)
+            self.record_span(span)
             self._body.append(("span", span))
         elif kind == "link":
             link = _link_from_json(line)
-            self.links.append(link)
-            self._links_by_trace.setdefault(link.trace_id, []).append(link)
+            self.record_link(link)
             self._body.append(("link", link))
         elif kind == "serve":
             record = _serve_from_json(line)
-            self.serves.append(record)
+            self.record_serve(record)
             self._body.append(("serve", record))
         elif kind == "job":
             record = _job_from_json(line)

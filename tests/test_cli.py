@@ -151,6 +151,40 @@ class TestCommands:
         assert code == 3
         assert "NOT ATTRIBUTABLE" in capsys.readouterr().out
 
+    def test_trace_records_capsule(self, tmp_path, capsys):
+        from repro.xray import Capsule
+        path = tmp_path / "trace.capsule"
+        code = main(["trace", "--machines", "2", "--fraction", "0.01",
+                     "--output", str(tmp_path / "trace.json"),
+                     "--capsule", str(path)])
+        assert code == 0
+        capsule = Capsule.load(str(path))
+        assert capsule.engine == "monospark"
+        assert capsule.config["machines"] == 2
+        (job_id,) = capsule.jobs
+        assert capsule.critical_path_report(job_id).attributable
+        assert f"links to {path}" in capsys.readouterr().out
+
+    def test_obs_events_records_capsule(self, tmp_path, capsys, monkeypatch):
+        import repro.obs
+        from repro.xray import Capsule
+        planes = []
+
+        class Plane(repro.obs.ObservabilityPlane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                planes.append(self)
+
+        monkeypatch.setattr(repro.obs, "ObservabilityPlane", Plane)
+        path = tmp_path / "obs.capsule"
+        assert main(["obs", "events", "--jobs", "6",
+                     "--capsule", str(path)]) == 0
+        (plane,) = planes
+        capsule = Capsule.load(str(path))
+        assert len(capsule.journal) == plane.journal.total > 0
+        assert capsule.summary["total_completed"] == 6
+        assert f"journal events to {path}" in capsys.readouterr().out
+
     def test_trace_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
         code = main(["trace", "--machines", "2", "--fraction", "0.01",

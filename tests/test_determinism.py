@@ -148,11 +148,11 @@ GOLDEN_SERVE_SHA256 = (
 #: checkpointed :class:`~repro.controlplane.ControlPlane` fails over.
 GOLDEN_FAILOVER_SHA256 = (
     "54a7d73d8ec022e8800c6f976c64207a39afa3400e6fc7a886c6aeadb70759c4")
-#: sha256 of :func:`journal_fingerprint`: the event journal's JSONL
-#: lines, a capsule's journal lines and the chrome-trace instants of a
-#: run that emits fault, health, driver and alert events.
+#: sha256 of :func:`journal_fingerprint`: a capsule's journal lines and
+#: the chrome-trace instants of a run that emits fault, health, driver
+#: and alert events.
 GOLDEN_JOURNAL_SHA256 = (
-    "4a212b08ff4282decfca9dac38242dbae76f1cc0d18a7279b47aeef70f7e45fd")
+    "ec38ec8f5297f1f18064e753307270669f1f8d51e42993e5f0795de08ecfb73c")
 
 
 def job_fingerprint(ctx, engine: str = "monospark") -> str:
@@ -283,7 +283,7 @@ def failover_fingerprint():
 
 def journal_fingerprint():
     """A monitored, observed :class:`ControlPlane` run under a fail-slow
-    NIC and a driver crash, recorded into a journal file and a capsule.
+    NIC and a driver crash, recorded into a capsule.
 
     Returns the fingerprint and the journal's sources (all four must
     appear for the case to mean anything).
@@ -308,9 +308,8 @@ def journal_fingerprint():
                       DriverCrash(at=20.0, driver_id=0)])
     FaultInjector(ctx.engine, plan).start()
     with tempfile.TemporaryDirectory() as workdir:
-        journal_path = os.path.join(workdir, "journal.jsonl")
         capsule_path = os.path.join(workdir, "run.capsule")
-        obs = ObservabilityPlane(journal_path=journal_path)
+        obs = ObservabilityPlane()
         plane = ControlPlane(ctx, num_drivers=2, seed=4,
                              health=HealthMonitor(ctx.engine, HealthPolicy()),
                              obs=obs)
@@ -322,18 +321,15 @@ def journal_fingerprint():
         with RunRecorder(capsule_path, engine="monospark", seed=4) as recorder:
             recorder.attach(ctx.metrics)
             plane.run()
-        obs.close()
-        with open(journal_path, encoding="utf-8") as handle:
-            journal = handle.read().splitlines()
         with open(capsule_path, encoding="utf-8") as handle:
             capsule = [line for line in handle.read().splitlines()
                        if json.loads(line)["type"] == "journal"]
     instants = [json.dumps(event) for event in trace_events(ctx.metrics)
                 if event["ph"] == "i"]
     digest = hashlib.sha256()
-    for line in journal + capsule + instants:
+    for line in capsule + instants:
         digest.update(line.encode() + b"\n")
-    sources = {json.loads(line)["source"] for line in journal}
+    sources = {json.loads(line)["source"] for line in capsule}
     return digest.hexdigest(), sources
 
 

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from repro.xray import Capsule
+
 
 def run_example(name, capsys):
     runpy.run_module(f"examples.{name}", run_name="__main__")
@@ -103,4 +105,6 @@ class TestExamples:
         assert "NOT ATTRIBUTABLE" in out
         assert "# TYPE repro_resource_queue_depth gauge" in out
         assert (tmp_path / "tracing-monospark.json").exists()
-        assert (tmp_path / "tracing-spark-spans.jsonl").exists()
+        for engine in ("monospark", "spark"):
+            capsule = Capsule.load(str(tmp_path / f"tracing-{engine}.capsule"))
+            assert capsule.engine == engine and capsule.spans

@@ -114,14 +114,3 @@ class TestLifecycle:
         writer.close(footer={"type": "end"})
         writer.close()
         assert path.read_text() == '{"type":"end","schema":1}\n'
-
-    def test_borrowed_handle_is_flushed_not_closed(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            with JsonlWriter(handle, 1) as writer:
-                writer.write_record({"type": "a"})
-            assert not handle.closed
-            # Visible through a second handle: close() flushed it.
-            assert path.read_text() == '{"type":"a","schema":1}\n'
-            handle.write("tail\n")
-        assert path.read_text().endswith("tail\n")

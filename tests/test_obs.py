@@ -1,6 +1,5 @@
 """Tests for the streaming observability plane (``repro.obs``)."""
 
-import io
 import json
 
 import pytest
@@ -15,9 +14,9 @@ from repro.metrics.events import (AlertEventRecord, DriverEventRecord,
                                   FaultEventRecord, HealthEventRecord,
                                   ServeRecord)
 from repro.obs import (AbsenceRule, AlertEngine, BurnRateRule, EventJournal,
-                       Exemplar, ExemplarStore, JsonlJournalSink,
-                       ModelDriftDetector, ObservabilityPlane, ThresholdRule,
-                       WORST_JOB_METRIC, format_labels)
+                       Exemplar, ExemplarStore, ModelDriftDetector,
+                       ObservabilityPlane, ThresholdRule, WORST_JOB_METRIC,
+                       format_labels)
 from repro.obs.bench import ObsWorkload, _fail_slow, _fault_free
 from repro.serve import JobServer, TraceArrivals, wordcount_template
 from repro.trace.telemetry import TelemetryRegistry
@@ -282,7 +281,7 @@ class TestJournal:
         assert [r.source for r in (crash, exclude, lost, firing)] == \
             ["fault", "health", "driver", "alert"]
 
-    def test_skipped_injections_do_not_page(self, tmp_path):
+    def test_skipped_injections_do_not_page(self):
         # A plain job server has no control plane and no data service,
         # so both faults are skipped: the journal rows are info.
         from repro.faults import DriverCrash, FaultPlan, StorageNodeCrash
@@ -292,16 +291,13 @@ class TestJournal:
         FaultInjector(ctx.engine, FaultPlan([
             DriverCrash(at=1.0, driver_id=0),
             StorageNodeCrash(at=1.0, node_index=0)])).start()
-        path = str(tmp_path / "journal.jsonl")
-        obs = ObservabilityPlane(journal_path=path)
+        obs = ObservabilityPlane()
         server = JobServer(ctx, seed=0, obs=obs)
         server.add_tenant("t")
         template = wordcount_template(ctx, num_blocks=1, block_mb=2.0)
         server.add_workload("t", template, TraceArrivals([2.0]))
         server.run()
-        obs.close()
-        with open(path) as handle:
-            rows = [json.loads(line) for line in handle]
+        rows = [event.journal_row() for event in obs.journal.events()]
         faults = [(r["kind"], r["severity"]) for r in rows
                   if r["source"] == "fault"]
         assert sorted(faults) == [("driver-crash-skipped", "info"),
@@ -321,23 +317,6 @@ class TestJournal:
         assert journal.events(source="fault")[0].severity == "warning"
         with pytest.raises(ObsError, match="unknown severity"):
             journal.events(min_severity="fatal")
-
-    def test_jsonl_sink_roundtrip_and_idempotent_close(self):
-        buffer = io.StringIO()
-        sink = JsonlJournalSink(buffer)
-        journal = EventJournal(sink=sink)
-        journal.observe(AlertEventRecord(
-            kind="firing", rule="hot", at=1.5, severity="warning",
-            labels="machine=1", trace_id="job-3", span_id=33))
-        sink.close()
-        sink.close()  # idempotent
-        journal.observe(FaultEventRecord(
-            kind="machine-crash", machine_id=0, at=2.0))  # silently dropped
-        lines = buffer.getvalue().strip().splitlines()
-        assert len(lines) == 1 and sink.written == 1
-        row = json.loads(lines[0])
-        assert row["subject"] == "hot{machine=1}"
-        assert row["span_id"] == 33 and row["trace_id"] == "job-3"
 
     def test_format_empty_and_alignment(self):
         journal = EventJournal()

@@ -1,13 +1,12 @@
 """Tests for the causal tracing subsystem (`repro.trace`).
 
-Covers the ISSUE-4 contract: JSONL trace export round-trips, the
+Covers the tracing contract: a run capsule holds the whole trace, the
 critical path partitions the job window exactly (on a hand-built plan
 where the answer is known), the Prometheus exposition lints, the
 collector's close paths reject bad ids, and span trees from seeded
 random plans are well-formed (every parent exists, no cycles).
 """
 
-import json
 import random
 import re
 
@@ -21,8 +20,9 @@ from repro.metrics.events import (CPU, DISK, NETWORK, PHASE_COMPUTE,
                                   PHASE_INPUT_READ, PHASE_SHUFFLE_READ,
                                   MonotaskRecord)
 from repro.trace import (SPAN_ATTEMPT, SPAN_JOB, SPAN_MONOTASK, SPAN_STAGE,
-                         JsonlSpanSink, TelemetryRegistry, TelemetrySampler,
-                         critical_path, render_prometheus)
+                         TelemetryRegistry, TelemetrySampler, critical_path,
+                         link_to_json, render_prometheus, span_to_json)
+from repro.xray import Capsule, RunRecorder
 
 
 def run_shuffle(engine="monospark", num_blocks=8, modulus=2,
@@ -45,51 +45,53 @@ def run_shuffle(engine="monospark", num_blocks=8, modulus=2,
 
 class TestJsonlRoundTrip:
     def test_sink_matches_collector(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
+        path = str(tmp_path / "run.capsule")
         cluster = hdd_cluster(num_machines=2)
         payloads = [Partition.from_records([(i, 0), (i, 1)], record_count=2,
                                            data_bytes=32 * MB)
                     for i in range(8)]
         cluster.dfs.create_file("input", payloads, [32 * MB] * 8)
         ctx = AnalyticsContext(cluster, engine="monospark")
-        sink = JsonlSpanSink(str(path))
-        ctx.metrics.add_span_sink(sink)
+        recorder = RunRecorder(path, engine="monospark").attach(ctx.metrics)
         (ctx.text_file("input")
             .map(lambda kv: (kv[1] % 2, 1), size_ratio=1.0)
             .reduce_by_key(lambda a, b: a + b, num_partitions=2)
             .collect())
-        sink.close()
+        recorder.finalize()
+        recorder.close()
 
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        spans = [line for line in lines if line["type"] == "span"]
-        links = [line for line in lines if line["type"] == "link"]
-        assert len(spans) == sink.spans_written == len(ctx.metrics.spans)
-        assert len(links) == sink.links_written == len(ctx.metrics.links)
+        # Spans stream out as they close, so compare by id; links are
+        # written as they are recorded, in order.
+        capsule = Capsule.load(path)
+        assert len(capsule.spans) == len(ctx.metrics.spans)
+        assert ({s.span_id: span_to_json(s) for s in capsule.spans}
+                == {s.span_id: span_to_json(s) for s in ctx.metrics.spans})
+        assert ([link_to_json(link) for link in capsule.links]
+                == [link_to_json(link) for link in ctx.metrics.links])
 
-        span_ids = {span["span_id"] for span in spans}
-        for link in links:
-            assert link["from"] in span_ids
-            assert link["to"] in span_ids
-        for span in spans:
-            if span["parent_id"] is not None:
-                assert span["parent_id"] in span_ids
-        kinds = {span["kind"] for span in spans}
+        span_ids = {span.span_id for span in capsule.spans}
+        for link in capsule.links:
+            assert link.from_span_id in span_ids
+            assert link.to_span_id in span_ids
+        for span in capsule.spans:
+            if span.parent_id is not None:
+                assert span.parent_id in span_ids
+        kinds = {span.kind for span in capsule.spans}
         assert kinds == {"job", "stage", "attempt", "monotask"}
-        assert {link["kind"] for link in links} >= {"shuffle-fetch",
-                                                    "dag-edge"}
+        assert {link.kind for link in capsule.links} >= {"shuffle-fetch",
+                                                         "dag-edge"}
 
     def test_closed_sink_drops_silently(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        sink = JsonlSpanSink(str(path))
-        sink.close()
-        sink.close()  # idempotent
+        path = str(tmp_path / "run.capsule")
+        recorder = RunRecorder(path)
+        recorder.close()
+        recorder.close()  # idempotent
         metrics = MetricsCollector()
-        metrics.add_span_sink(sink)
+        recorder.attach(metrics)
         metrics.job_started(0, "late", now=0.0)
         metrics.job_finished(0, now=1.0)
-        assert sink.spans_written == 0
-        assert path.read_text() == ""
+        capsule = Capsule.load(path)
+        assert capsule.spans == [] and capsule.manifest["counts"] == {}
 
 
 def build_tiny_plan():

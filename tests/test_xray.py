@@ -6,7 +6,9 @@ pair (and their Spark twins) are simulated once and shared by the
 round-trip, query, diff, and golden-blame tests.
 """
 
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -134,6 +136,15 @@ class TestCapsuleValidation:
         manifest["counts"]["span"] += 1
         lines[-1] = json.dumps(manifest, separators=(",", ":"))
         with pytest.raises(CapsuleError, match="counts"):
+            Capsule.load(self._write(tmp_path, lines))
+
+    def test_line_total_mismatch_rejected(self, tmp_path, clean):
+        # The counts still match the body; only the total is tampered.
+        lines = self._lines(clean)
+        manifest = json.loads(lines[-1])
+        manifest["lines"] += 1
+        lines[-1] = json.dumps(manifest, separators=(",", ":"))
+        with pytest.raises(CapsuleError, match="lines"):
             Capsule.load(self._write(tmp_path, lines))
 
     def test_not_a_capsule_rejected(self, tmp_path):
@@ -352,36 +363,6 @@ class TestCollectorCache:
         assert metrics.critical_path_report(touched) is not stale
 
 
-class TestSinkSatellites:
-    def test_span_sink_context_manager_flush_and_schema(self, tmp_path):
-        from repro.trace.sink import TRACE_SCHEMA, JsonlSpanSink
-        from repro.trace.spans import SPAN_MONOTASK, SpanRecord
-        path = tmp_path / "spans.jsonl"
-        with JsonlSpanSink(str(path)) as sink:
-            sink.span_finished(SpanRecord(
-                span_id=1, trace_id="job-0", parent_id=None,
-                kind=SPAN_MONOTASK, name="m", start=0.0, end=1.0))
-            sink.flush()
-            flushed = path.read_text()
-        assert flushed  # visible before close, thanks to flush()
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line)["schema"] == TRACE_SCHEMA
-
-    def test_journal_sink_context_manager_flush_and_schema(self, tmp_path):
-        from repro.metrics.events import HealthEventRecord
-        from repro.obs.journal import (JOURNAL_SCHEMA, EventJournal,
-                                       JsonlJournalSink)
-        path = tmp_path / "journal.jsonl"
-        with JsonlJournalSink(str(path)) as sink:
-            journal = EventJournal(sink=sink)
-            journal.observe(HealthEventRecord(kind="reinstate",
-                                              machine_id=0, at=1.0))
-            sink.flush()
-            assert path.read_text()
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line)["schema"] == JOURNAL_SCHEMA
-
-
 class TestCli:
     def test_record_query_diff_regress(self, tmp_path, capsys):
         from repro.cli import main
@@ -421,3 +402,39 @@ class TestCli:
         assert main(["xray", "record", path, "--jobs", "3",
                      "--block-mb", "8"]) == 0
         assert main(["xray", "regress", path, path]) == 0
+
+
+def _load_validator():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "validate_trace.py")
+    spec = importlib.util.spec_from_file_location("validate_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestValidator:
+    def test_copied_constants_match_the_loader(self):
+        from repro.xray.capsule import KNOWN_SCHEMAS, LINE_TYPES
+        validator = _load_validator()
+        assert validator.KNOWN_CAPSULE_SCHEMAS == KNOWN_SCHEMAS
+        assert validator.CAPSULE_LINE_TYPES == LINE_TYPES
+
+    def test_header_key_order_is_free(self, tmp_path, capsys):
+        # A header that does not start with "type" is still a capsule,
+        # to the loader and to the validator alike.
+        path = tmp_path / "reordered.capsule"
+        path.write_text(
+            '{"schema":1,"type":"capsule","engine":"monospark","seed":0,'
+            '"config":{}}\n'
+            '{"type":"manifest","schema":1,"counts":{},"lines":2}\n')
+        assert Capsule.load(str(path)).engine == "monospark"
+        validator = _load_validator()
+        assert validator.validate_file(str(path)) == ("capsule", 2, [])
+        assert validator.main([str(path)]) == 0
+        assert "(capsule, 2 lines)" in capsys.readouterr().out
+
+    def test_recorded_capsule_validates(self, clean):
+        kind, count, errors = _load_validator().validate_file(clean.path)
+        assert (kind, errors) == ("capsule", [])
+        assert count == clean.manifest["lines"]
