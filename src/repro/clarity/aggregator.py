@@ -9,9 +9,10 @@ which machine) is the cluster's bottleneck over the last N seconds?*
 The :class:`ClarityAggregator` answers it continuously: as each job
 completes (the :class:`~repro.serve.server.JobServer` calls
 :meth:`observe_job`), the job's critical-path segments and stage
-profiles are folded into a bounded window of
-:class:`JobClarity` observations, and :meth:`bottleneck` rolls the
-window up into per-resource and per-machine critical-path fractions.
+profiles, computed once and cached by the collector, are folded into a
+bounded window of :class:`JobClarity` observations, and
+:meth:`bottleneck` rolls the window up into per-resource and
+per-machine critical-path fractions.
 
 On MonoSpark the fractions decompose by real resources (cpu, disk,
 disk queue, network, driver, ...).  On Spark's blended tasks the
@@ -27,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ClarityError, ModelError
-from repro.model.ideal import StageProfile, profile_job
-from repro.trace.critpath import critical_path
+from repro.model.ideal import StageProfile
 
 __all__ = ["JobClarity", "BottleneckWindow", "ClarityAggregator"]
 
@@ -99,14 +99,6 @@ class BottleneckWindow:
             return None
         return max(self.fractions.items(),
                    key=lambda item: (item[1], item[0]))
-
-    @property
-    def dominant_machine(self) -> Optional[Tuple[int, float]]:
-        """(machine, fraction) of the busiest machine on the path."""
-        if not self.machine_fractions:
-            return None
-        return max(self.machine_fractions.items(),
-                   key=lambda item: (item[1], -item[0]))
 
     @property
     def dominant_shard(self) -> Optional[Tuple[int, float]]:
@@ -205,17 +197,13 @@ class ClarityAggregator:
         have finished (the critical-path walk requires a closed window).
         """
         engine = engine or self.engine
-        cached = getattr(metrics, "critical_path_report", None)
-        if cached is not None:
-            report = cached(job_id, engine=engine)
-        else:  # duck-typed metrics without the collector cache
-            report = critical_path(metrics, job_id, engine=engine)
+        report = metrics.critical_path_report(job_id, engine=engine)
         profiles: List[StageProfile] = []
         if report.attributable:
             try:
-                profiles = profile_job(metrics, job_id)
+                profiles = metrics.stage_profiles(job_id)
             except ModelError:
-                profiles = []
+                pass
         observation = JobClarity(
             job_id=job_id, name=report.name, tenant=tenant, engine=engine,
             start=report.start, end=report.end,

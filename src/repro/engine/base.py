@@ -665,11 +665,6 @@ class BaseEngine:
     # -- public API ---------------------------------------------------------------
 
     @property
-    def live_machine_count(self) -> int:
-        """Machines currently accepting work (not crashed)."""
-        return self.cluster.num_machines - len(self._dead_machines)
-
-    @property
     def schedulable_machine_count(self) -> int:
         """Machines the scheduler will place new work on: alive and not
         health-excluded (probation machines count as excluded -- their

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple, Type, TypeVar
 
-from repro.errors import SimulationError
+from repro.errors import ModelError, SimulationError
 from repro.metrics.events import (CPU, DISK, NETWORK, Event, JobRecord,
                                   MonotaskRecord, ResourceUsageRecord,
                                   ServeRecord, SpeculationRecord,
@@ -77,12 +77,13 @@ class MetricsCollector:
         #: retry/speculation links between consecutive attempts.
         self._last_attempt_spans: Dict[Tuple[int, int, int], SpanRecord] = {}
         self._sinks: List = []
-        #: job -> {engine label: critical-path report}, so the clarity
-        #: aggregator, alert exemplar resolution, and xray share one
-        #: O(n log n) sweep per finished job instead of each redoing it.
-        #: Invalidated, in O(1), whenever a span lands on (or closes in)
-        #: that job's trace.
-        self._critpath_cache: Dict[int, Dict[str, object]] = {}
+        #: job -> {engine label: critical-path report, None: stage
+        #: profiles or the ModelError message}: the one analysis of a
+        #: finished job that admission pricing, clarity, drift, alert
+        #: exemplars and xray share.  Each half is computed on first
+        #: request and dropped, in O(1), whenever a span, stage or
+        #: monotask record lands on that job.
+        self._analysis_cache: Dict[int, Dict[Optional[str], object]] = {}
         #: Callables invoked as ``fn(record)`` when an :class:`Event`
         #: or a :class:`ServeRecord` lands; listeners tell them apart by
         #: type.  The observability plane and the capsule recorder
@@ -111,7 +112,7 @@ class MetricsCollector:
         """Append a complete (already closed) span."""
         self.spans.append(span)
         self._spans_by_trace.setdefault(span.trace_id, []).append(span)
-        self._invalidate_critpath(span.trace_id)
+        self._invalidate_trace(span.trace_id)
         for sink in self._sinks:
             sink.span_finished(span)
 
@@ -133,19 +134,19 @@ class MetricsCollector:
         if span is None:
             return
         span.end = now
-        self._invalidate_critpath(span.trace_id)
+        self._invalidate_trace(span.trace_id)
         for sink in self._sinks:
             sink.span_finished(span)
 
-    def _invalidate_critpath(self, trace_id: str) -> None:
-        """Drop cached critical paths of the job a span just touched."""
-        if not self._critpath_cache or not trace_id.startswith("job-"):
+    def _invalidate_trace(self, trace_id: str) -> None:
+        """Drop the cached analysis of the job a span just touched."""
+        if not self._analysis_cache or not trace_id.startswith("job-"):
             return
         try:
             job_id = int(trace_id[4:])
         except ValueError:
             return
-        self._critpath_cache.pop(job_id, None)
+        self._analysis_cache.pop(job_id, None)
 
     def job_trace_id(self, job_id: int) -> str:
         """The trace id under which a job's spans are recorded."""
@@ -172,6 +173,7 @@ class MetricsCollector:
         """
         self.monotasks.append(record)
         self._monotasks_by_job.setdefault(record.job_id, []).append(record)
+        self._analysis_cache.pop(record.job_id, None)
         if trace is None:
             return
         sid = span_id if span_id is not None else self.new_span_id()
@@ -246,6 +248,7 @@ class MetricsCollector:
         record = self.stages[(job_id, stage_id)] = StageRecord(
             job_id, stage_id, name, num_tasks, start=now)
         self._stages_by_job.setdefault(job_id, {})[stage_id] = record
+        self._analysis_cache.pop(job_id, None)
         job_span = self._job_spans.get(job_id)
         trace_id = (job_span.trace_id if job_span is not None
                     else self.job_trace_id(job_id))
@@ -275,6 +278,7 @@ class MetricsCollector:
                 f"stage_finished for unknown stage {stage_id} of job "
                 f"{job_id}; known stages: {sorted(self.stages)}")
         record.end = now
+        self._analysis_cache.pop(job_id, None)
         span = self._stage_spans.get((job_id, stage_id))
         if span is not None:
             self._close_span(span.span_id, now)
@@ -373,13 +377,32 @@ class MetricsCollector:
         xray diffs) wants the same report, so compute it once and
         invalidate if a late span ever lands on the trace.
         """
-        reports = self._critpath_cache.setdefault(job_id, {})
-        report = reports.get(engine)
+        analysis = self._analysis_cache.setdefault(job_id, {})
+        report = analysis.get(engine)
         if report is None:
             from repro.trace.critpath import critical_path
-            report = reports[engine] = critical_path(self, job_id,
-                                                     engine=engine)
+            report = analysis[engine] = critical_path(self, job_id,
+                                                      engine=engine)
         return report
+
+    def stage_profiles(self, job_id: int):
+        """The job's :func:`~repro.model.ideal.profile_job` result,
+        cached per job and shared read-only by every consumer.  A job
+        the model cannot profile raises a fresh :class:`ModelError`
+        with the same message on every call.
+        """
+        analysis = self._analysis_cache.setdefault(job_id, {})
+        profiles = analysis.get(None)
+        if profiles is None:
+            from repro.model.ideal import profile_job
+            try:
+                profiles = profile_job(self, job_id)
+            except ModelError as exc:
+                profiles = str(exc)
+            analysis[None] = profiles
+        if isinstance(profiles, str):
+            raise ModelError(profiles)
+        return profiles
 
     def job(self, job_id: int) -> JobRecord:
         """The job's record."""

@@ -20,10 +20,12 @@ off their baseline before anyone has diagnosed why, and the verdict
 names the worst stage.  Firing condition: normalized ratio outside
 ``[1/envelope, envelope]``.
 
-On the Spark-style engine the model has no per-resource measurements
-to work from (§6.6) -- ``profile_job`` raises ``ModelError`` -- and
-every verdict is NOT ATTRIBUTABLE: the same observability cliff the
-paper demonstrates offline, here online.
+Stage profiles come from the collector's per-job cache
+(``metrics.stage_profiles``, shared with admission and clarity).  On
+the Spark-style engine the model has no per-resource measurements to
+work from (§6.6) -- the profiles raise ``ModelError`` -- and every
+verdict is NOT ATTRIBUTABLE: the same observability cliff the paper
+demonstrates offline, here online.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import ModelError, ObsError
-from repro.model.ideal import hardware_profile, model_stage, profile_job
+from repro.model.ideal import hardware_profile, model_stage
 from repro.stats import percentile
 
 __all__ = ["DriftVerdict", "ModelDriftDetector"]
@@ -124,14 +126,11 @@ class ModelDriftDetector:
                     template: str = "") -> DriftVerdict:
         """Score one completed job; returns (and retains) the verdict."""
         try:
-            profiles = profile_job(metrics, job_id)
+            profiles = metrics.stage_profiles(job_id)
         except ModelError as exc:
-            verdict = DriftVerdict(
+            return self._retain(DriftVerdict(
                 job_id=job_id, tenant=tenant, at=at, attributable=False,
-                template=template,
-                reason=f"NOT ATTRIBUTABLE: {exc}")
-            self._retain(verdict)
-            return verdict
+                template=template, reason=f"NOT ATTRIBUTABLE: {exc}"))
         hardware = self._hardware_profile()
         measured = 0.0
         modeled = 0.0
@@ -148,12 +147,10 @@ class ModelDriftDetector:
                     worst_ratio = stage_ratio
                     worst_id = profile.stage_id
         if modeled <= 0:
-            verdict = DriftVerdict(
+            return self._retain(DriftVerdict(
                 job_id=job_id, tenant=tenant, at=at, attributable=False,
                 template=template, measured_s=measured,
-                reason="NOT ATTRIBUTABLE: model predicts zero runtime")
-            self._retain(verdict)
-            return verdict
+                reason="NOT ATTRIBUTABLE: model predicts zero runtime"))
         ratio = measured / modeled
         baseline = self._baselines.get(template)
         if baseline is None:
@@ -162,13 +159,11 @@ class ModelDriftDetector:
             if len(samples) >= self.baseline_samples:
                 self._baselines[template] = percentile(samples, 50.0)
                 del self._calibration[template]
-            verdict = DriftVerdict(
+            return self._retain(DriftVerdict(
                 job_id=job_id, tenant=tenant, at=at, attributable=True,
                 template=template, measured_s=measured,
                 modeled_s=modeled, ratio=ratio,
-                worst_stage_id=worst_id, worst_stage_ratio=worst_ratio)
-            self._retain(verdict)
-            return verdict
+                worst_stage_id=worst_id, worst_stage_ratio=worst_ratio))
         normalized = ratio / baseline
         drifting = (normalized > self.envelope
                     or normalized < 1.0 / self.envelope)
@@ -179,18 +174,17 @@ class ModelDriftDetector:
                       f"template baseline, {direction} the "
                       f"{self.envelope:g}x envelope; worst stage "
                       f"{worst_id} at {worst_ratio:.2f}x the model")
-        verdict = DriftVerdict(
+        return self._retain(DriftVerdict(
             job_id=job_id, tenant=tenant, at=at, attributable=True,
             template=template, measured_s=measured, modeled_s=modeled,
             ratio=ratio, baseline=baseline, normalized=normalized,
             drifting=drifting, worst_stage_id=worst_id,
-            worst_stage_ratio=worst_ratio, reason=reason)
-        self._retain(verdict)
-        return verdict
+            worst_stage_ratio=worst_ratio, reason=reason))
 
-    def _retain(self, verdict: DriftVerdict) -> None:
+    def _retain(self, verdict: DriftVerdict) -> DriftVerdict:
         self.verdicts.append(verdict)
         del self.verdicts[:-self.keep]
+        return verdict
 
     # -- gauge feeds ---------------------------------------------------------------
 
@@ -205,7 +199,3 @@ class ModelDriftDetector:
     def unattributable_count(self) -> int:
         """How many retained verdicts could not be modeled at all."""
         return sum(1 for v in self.verdicts if not v.attributable)
-
-    def drifting_verdicts(self) -> List[DriftVerdict]:
-        """Retained verdicts that left the envelope, oldest first."""
-        return [v for v in self.verdicts if v.drifting]

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ObsError
+from repro.errors import ObsError, SimulationError
 from repro.metrics.events import ServeRecord
 from repro.obs.alerts import Alert, AlertEngine
 from repro.obs.drift import DriftVerdict, ModelDriftDetector
@@ -298,8 +298,8 @@ class ObservabilityPlane:
         try:
             report = self.metrics.critical_path_report(
                 record.job_id, engine=self.engine.name)
-        except Exception:
-            return  # unfinished/odd job: no exemplar, never an outage
+        except SimulationError:
+            return  # unknown or unfinished job: no exemplar
         segments = [s for s in report.segments if s.span_id >= 0]
         if not segments:
             return

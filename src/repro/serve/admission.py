@@ -27,7 +27,7 @@ from repro.engine.base import BaseEngine, JobResult
 from repro.errors import ConfigError, ModelError
 from repro.metrics.collector import MetricsCollector
 from repro.model import (HardwareProfile, StageProfile, WhatIf,
-                         hardware_profile, predict, profile_job)
+                         hardware_profile, predict)
 
 __all__ = ["CostEstimator", "AdmissionController"]
 
@@ -60,7 +60,7 @@ class CostEstimator:
                 self.smoothing * result.duration
                 + (1.0 - self.smoothing) * previous)
         try:
-            self._profiles[template] = profile_job(metrics, result.job_id)
+            self._profiles[template] = metrics.stage_profiles(result.job_id)
         except ModelError:
             pass  # Spark engine: no monotask records to profile.
 

@@ -257,8 +257,8 @@ def critical_path(metrics, job_id: int,
                   engine: str = "") -> CriticalPathReport:
     """Extract and attribute one finished job's critical path.
 
-    ``metrics`` is a :class:`~repro.metrics.collector.MetricsCollector`
-    (duck-typed: needs ``jobs`` and ``spans_for_job``).
+    ``metrics`` is a :class:`~repro.metrics.collector.MetricsCollector`;
+    consumers read its cached copy (``critical_path_report``).
     """
     job = metrics.jobs.get(job_id)
     if job is None:

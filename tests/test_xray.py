@@ -296,8 +296,16 @@ class TestDiff:
         assert not report.attributable
 
 
+def _late_disk_read(job_id, nbytes):
+    """A monotask report that lands after its job finished."""
+    from repro.metrics.events import DISK, MonotaskRecord
+    return MonotaskRecord(job_id=job_id, stage_id=0, task_index=0,
+                          resource=DISK, phase="input_read", machine_id=0,
+                          start=0.0, end=0.1, nbytes=nbytes)
+
+
 class TestCollectorCache:
-    def _run_job(self):
+    def _run_job(self, engine="monospark"):
         from repro import MB, AnalyticsContext
         from repro.cluster import hdd_cluster
         from repro.workloads.wordcount import (generate_text_input,
@@ -305,9 +313,67 @@ class TestCollectorCache:
         cluster = hdd_cluster(num_machines=2, num_disks=1, seed=0)
         generate_text_input(cluster, num_blocks=4, block_bytes=4 * MB,
                             seed=0)
-        ctx = AnalyticsContext(cluster, engine="monospark")
+        ctx = AnalyticsContext(cluster, engine=engine)
         word_count(ctx)
         return ctx
+
+    def _serve(self, monkeypatch, observed):
+        """Serve a short wordcount stream, counting every stage profile
+        built and every critical-path sweep made."""
+        from repro import AnalyticsContext
+        from repro.clarity import ClarityAggregator
+        from repro.cluster import hdd_cluster
+        from repro.model import ideal
+        from repro.obs import ObservabilityPlane
+        from repro.serve import JobServer, TraceArrivals, wordcount_template
+        from repro.trace import critpath
+
+        counts = {"profiles": 0, "sweeps": []}
+        real_profile, real_sweep = ideal.StageProfile, critpath.critical_path
+
+        def counting_profile(*args, **kwargs):
+            counts["profiles"] += 1
+            return real_profile(*args, **kwargs)
+
+        def counting_sweep(metrics, job_id, engine=""):
+            counts["sweeps"].append((job_id, engine))
+            return real_sweep(metrics, job_id, engine=engine)
+
+        monkeypatch.setattr(ideal, "StageProfile", counting_profile)
+        monkeypatch.setattr(critpath, "critical_path", counting_sweep)
+        cluster = hdd_cluster(num_machines=2, num_disks=1, seed=0)
+        ctx = AnalyticsContext(cluster, engine="monospark")
+        clarity = ClarityAggregator(engine="monospark") if observed else None
+        obs = ObservabilityPlane() if observed else None
+        server = JobServer(ctx, seed=0, clarity=clarity, obs=obs)
+        server.add_tenant("t")
+        template = wordcount_template(ctx, num_blocks=2, block_mb=2.0)
+        server.add_workload("t", template, TraceArrivals([1.0, 2.0, 3.0]))
+        server.run()
+        done = [r.job_id for r in ctx.metrics.serves
+                if r.outcome == "completed"]
+        assert len(done) == 3
+        return ctx.metrics, done, counts, clarity, obs
+
+    def test_one_analysis_per_finished_job(self, monkeypatch):
+        metrics, done, counts, clarity, obs = self._serve(monkeypatch, True)
+        stages = sum(len(metrics.stage_records(job)) for job in done)
+        # Admission, clarity and drift all read the job's profiles, and
+        # clarity and the alert exemplars its critical path: each is
+        # computed once.
+        assert counts["profiles"] == stages
+        assert sorted(counts["sweeps"]) == [(job, "monospark")
+                                            for job in sorted(done)]
+        for observation in clarity.observations():
+            assert observation.profiles is metrics.stage_profiles(
+                observation.job_id)
+        assert all(v.attributable for v in obs.drift_verdicts())
+
+    def test_bare_serving_sweeps_no_critical_path(self, monkeypatch):
+        metrics, done, counts, _, _ = self._serve(monkeypatch, False)
+        assert counts["sweeps"] == []
+        assert counts["profiles"] == sum(len(metrics.stage_records(job))
+                                         for job in done)
 
     def test_report_is_cached(self):
         ctx = self._run_job()
@@ -329,6 +395,30 @@ class TestCollectorCache:
             machine_id=0, resource="cpu", phase="compute"))
         assert ctx.metrics.critical_path_report(
             job_id, engine="monospark") is not first
+
+    def test_late_monotask_invalidates_profiles(self):
+        ctx = self._run_job()
+        job_id = ctx.last_result.job_id
+        first = ctx.metrics.stage_profiles(job_id)
+        assert ctx.metrics.stage_profiles(job_id) is first
+        before = first[0].total_disk_bytes
+        ctx.metrics.record_monotask(_late_disk_read(job_id, 123.0),
+                                    trace=None)
+        fresh = ctx.metrics.stage_profiles(job_id)
+        assert fresh is not first
+        assert fresh[0].total_disk_bytes == before + 123.0
+
+    def test_spark_profiles_raise_the_same_error(self):
+        from repro.errors import ModelError
+        from repro.model import profile_job
+        ctx = self._run_job(engine="spark")
+        job_id = ctx.last_result.job_id
+        with pytest.raises(ModelError) as expected:
+            profile_job(ctx.metrics, job_id)
+        for _ in range(2):
+            with pytest.raises(ModelError) as raised:
+                ctx.metrics.stage_profiles(job_id)
+            assert str(raised.value) == str(expected.value)
 
     def test_engine_label_keys_are_distinct(self):
         ctx = self._run_job()
@@ -352,7 +442,9 @@ class TestCollectorCache:
         kept_reports = [metrics.critical_path_report(kept),
                         metrics.critical_path_report(kept,
                                                      engine="monospark")]
+        kept_profiles = metrics.stage_profiles(kept)
         stale = metrics.critical_path_report(touched)
+        stale_profiles = metrics.stage_profiles(touched)
         metrics.record_span(SpanRecord(
             span_id=10 ** 9, trace_id=f"job-{touched}", parent_id=None,
             kind=SPAN_MONOTASK, name="late", start=0.0, end=0.1,
@@ -361,6 +453,11 @@ class TestCollectorCache:
         assert metrics.critical_path_report(
             kept, engine="monospark") is kept_reports[1]
         assert metrics.critical_path_report(touched) is not stale
+        assert metrics.stage_profiles(touched) is not stale_profiles
+        stale_profiles = metrics.stage_profiles(touched)
+        metrics.record_monotask(_late_disk_read(touched, 1.0), trace=None)
+        assert metrics.stage_profiles(kept) is kept_profiles
+        assert metrics.stage_profiles(touched) is not stale_profiles
 
 
 class TestCli:
