@@ -153,6 +153,10 @@ GOLDEN_FAILOVER_SHA256 = (
 #: and alert events.
 GOLDEN_JOURNAL_SHA256 = (
     "ec38ec8f5297f1f18064e753307270669f1f8d51e42993e5f0795de08ecfb73c")
+#: sha256 of :func:`capsule_fingerprint`: the whole canonical clean
+#: capsule, byte for byte (``benchmarks/results/xray_clean.capsule``).
+GOLDEN_CAPSULE_SHA256 = (
+    "42ceb3641839cea58a279bad8a976e7137de3fb89dd12c57173c78fa6146ad36")
 
 
 def job_fingerprint(ctx, engine: str = "monospark") -> str:
@@ -360,6 +364,17 @@ class TestGoldenFingerprints:
         assert sources == {"fault", "health", "driver", "alert"}
         assert fingerprint == GOLDEN_JOURNAL_SHA256
 
+    def test_capsule_matches_golden(self):
+        import hashlib
+        import os
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "benchmarks", "results",
+                               "xray_clean.capsule"), "rb") as handle:
+            committed = hashlib.sha256(handle.read()).hexdigest()
+        assert committed == GOLDEN_CAPSULE_SHA256
+        assert capsule_fingerprint() == GOLDEN_CAPSULE_SHA256
+
     def test_stream_independent_of_hash_seed(self):
         import os
         import subprocess
@@ -382,10 +397,29 @@ class TestGoldenFingerprints:
              "from tests.test_determinism import failover_fingerprint; "
              "print(failover_fingerprint()[0]); "
              "from tests.test_determinism import journal_fingerprint; "
-             "print(journal_fingerprint()[0])"],
+             "print(journal_fingerprint()[0]); "
+             "from tests.test_determinism import capsule_fingerprint; "
+             "print(capsule_fingerprint())"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == [GOLDEN_STREAM_SHA256,
                                       GOLDEN_SPARK_STREAM_SHA256,
                                       GOLDEN_SERVE_SHA256,
                                       GOLDEN_FAILOVER_SHA256,
-                                      GOLDEN_JOURNAL_SHA256]
+                                      GOLDEN_JOURNAL_SHA256,
+                                      GOLDEN_CAPSULE_SHA256]
+
+
+def capsule_fingerprint():
+    """sha256 of the default :class:`~repro.xray.CanonicalRun`'s capsule,
+    recorded afresh."""
+    import hashlib
+    import os
+    import tempfile
+
+    from repro.xray.scenario import CanonicalRun, record_run
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "clean.capsule")
+        record_run(path, CanonicalRun())
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
