@@ -15,40 +15,21 @@ the identical timeline.
 Run:  python examples/alerting.py
 """
 
-from repro import AnalyticsContext, hdd_cluster
-from repro.faults import FaultInjector, fail_slow_plan
-from repro.health import HealthMonitor, HealthPolicy
 from repro.metrics.events import HealthEventRecord
-from repro.obs import ObservabilityPlane, format_labels
-from repro.serve import JobServer, TraceArrivals, wordcount_template
+from repro.obs import format_labels
+from repro.xray import CanonicalRun, build_run
 
-MACHINES = 4
-DEGRADE_MACHINE = 1
-DEGRADE_AT = 5.0
-FACTOR = 10.0
-JOBS = 12
-PERIOD_S = 2.5
-SLO_S = 3.0
+#: The obs benchmark's fail-slow stream, trimmed to 12 jobs: machine
+#: 1's NIC degrades 10x at t=5s under a 3 s SLO, health monitor on.
+RUN = CanonicalRun(block_mb=16.0, health=True).degraded(1)
 
 
 def main():
-    cluster = hdd_cluster(num_machines=MACHINES, num_disks=2, seed=1)
-    ctx = AnalyticsContext(cluster, engine="monospark")
-    plan = fail_slow_plan(machine_id=DEGRADE_MACHINE, at=DEGRADE_AT,
-                          factor=FACTOR)
-    FaultInjector(ctx.engine, plan).start()
-    monitor = HealthMonitor(ctx.engine, HealthPolicy())
-    obs = ObservabilityPlane()
-    server = JobServer(ctx, seed=1, health=monitor, obs=obs)
-    server.add_tenant("analytics", slo_s=SLO_S)
-    template = wordcount_template(ctx, num_blocks=MACHINES, block_mb=16.0)
-    server.add_workload(
-        "analytics", template,
-        TraceArrivals([1.0 + PERIOD_S * i for i in range(JOBS)]))
+    ctx, server, obs, _ = build_run(RUN)
 
-    print(f"== machine {DEGRADE_MACHINE} NIC degraded {FACTOR:g}x at "
-          f"t={DEGRADE_AT:.0f}s; tenant 'analytics' holds a "
-          f"{SLO_S:g}s SLO ==\n")
+    print(f"== machine {RUN.degrade_machine} NIC degraded "
+          f"{RUN.degrade_factor:g}x at t={RUN.degrade_at:.0f}s; tenant "
+          f"'{RUN.tenant}' holds a {RUN.slo_s:g}s SLO ==\n")
     report = server.run()
 
     print("alert timeline (what the on-call sees, in order):")

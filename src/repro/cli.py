@@ -928,6 +928,10 @@ def _cmd_xray(args) -> int:
                             diff_capsules, record_run)
 
     if args.xray_action == "record":
+        if (args.degrade_machine is not None
+                and not 0 <= args.degrade_machine < args.machines):
+            print(f"--degrade-machine must be in [0, {args.machines})")
+            return 2
         run = CanonicalRun(
             engine=args.engine, machines=args.machines, disks=args.disks,
             seed=args.seed, tenant=args.tenant, slo_s=args.slo,

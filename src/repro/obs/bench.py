@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.trajectory import Bench, repeat_deterministic
+from repro.xray.scenario import CanonicalRun, build_run
 
 __all__ = ["ObsWorkload", "BENCH"]
 
@@ -56,16 +57,10 @@ class ObsWorkload:
     free_slo_s: float = 120.0
     free_num_blocks: int = 2
     free_block_mb: float = 8.0
-    # Fail-slow scenario: machine 1's NIC degrades under a tight SLO.
-    slow_machine: int = 1
-    slow_at: float = 5.0
-    slow_factor: float = 10.0
-    slow_tenant: str = "analytics"
-    slow_slo_s: float = 3.0
-    slow_num_blocks: int = 4
-    slow_block_mb: float = 16.0
-    slow_jobs: int = 20
-    slow_period_s: float = 2.5
+    # Fail-slow scenario: machine 1's NIC degrades under a tight SLO,
+    # with the health monitor running alongside.
+    fail_slow: CanonicalRun = CanonicalRun(
+        block_mb=16.0, jobs=20, health=True).degraded(1)
     # Driver-crash scenario: the leader replica dies mid-run.
     crash_num_drivers: int = 2
     crash_driver: int = 1
@@ -155,32 +150,10 @@ def _fault_free(workload: ObsWorkload):
 
 def _fail_slow(workload: ObsWorkload) -> Dict:
     """Machine 1 fails slow: alerts must name it before exclusion."""
-    from repro.api.context import AnalyticsContext
-    from repro.cluster import hdd_cluster
-    from repro.faults import FaultInjector, fail_slow_plan
-    from repro.health import HealthMonitor, HealthPolicy
     from repro.metrics.events import HealthEventRecord
-    from repro.obs import ObservabilityPlane
-    from repro.serve import JobServer
-    from repro.serve.workload import TraceArrivals, wordcount_template
 
-    cluster = hdd_cluster(num_machines=workload.machines,
-                          num_disks=workload.disks, seed=workload.seed)
-    ctx = AnalyticsContext(cluster, engine="monospark")
-    plan = fail_slow_plan(machine_id=workload.slow_machine,
-                          at=workload.slow_at,
-                          factor=workload.slow_factor)
-    FaultInjector(ctx.engine, plan).start()
-    monitor = HealthMonitor(ctx.engine, HealthPolicy())
-    obs = ObservabilityPlane()
-    server = JobServer(ctx, seed=workload.seed, health=monitor, obs=obs)
-    server.add_tenant(workload.slow_tenant, slo_s=workload.slow_slo_s)
-    template = wordcount_template(ctx,
-                                  num_blocks=workload.slow_num_blocks,
-                                  block_mb=workload.slow_block_mb)
-    arrivals = TraceArrivals([1.0 + workload.slow_period_s * i
-                              for i in range(workload.slow_jobs)])
-    server.add_workload(workload.slow_tenant, template, arrivals)
+    run = workload.fail_slow
+    ctx, server, obs, _ = build_run(run)
     report = server.run()
 
     transitions = obs.alert_timeline()
@@ -188,7 +161,7 @@ def _fail_slow(workload: ObsWorkload) -> Dict:
     if source_firing is None:
         raise AssertionError("fail-slow run never fired source-slow: "
                              f"{_timeline(obs)}")
-    expected = f"machine={workload.slow_machine}"
+    expected = f"machine={run.degrade_machine}"
     if expected not in source_firing.labels:
         raise AssertionError(
             f"source-slow fired on {source_firing.labels!r}, "
@@ -197,10 +170,10 @@ def _fail_slow(workload: ObsWorkload) -> Dict:
     if burn_firing is None:
         raise AssertionError("fail-slow run never fired slo-burn: "
                              f"{_timeline(obs)}")
-    if f"tenant={workload.slow_tenant}" not in burn_firing.labels:
+    if f"tenant={run.tenant}" not in burn_firing.labels:
         raise AssertionError(
             f"slo-burn fired on {burn_firing.labels!r}, not tenant="
-            f"{workload.slow_tenant}")
+            f"{run.tenant}")
     excludes = [h for h in ctx.metrics.events_of(HealthEventRecord)
                 if h.kind == "exclude"]
     if not excludes:
@@ -224,7 +197,7 @@ def _fail_slow(workload: ObsWorkload) -> Dict:
         "slo_burn_fired_at": round(burn_firing.at, 3),
         "health_excluded_at": round(excluded_at, 3),
         "detection_latency_s": round(
-            source_firing.at - workload.slow_at, 3),
+            source_firing.at - run.degrade_at, 3),
         "alert_led_exclusion_by_s": round(
             excluded_at - source_firing.at, 3),
         "exemplars_resolve": True,

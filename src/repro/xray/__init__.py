@@ -16,7 +16,7 @@ from repro.xray.diff import (DEFAULT_MIN_FRACTION, DEFAULT_NOISE_FLOOR_S,
                              diff_capsules)
 from repro.xray.query import (GROUP_KEYS, AggregateRow, CapsuleQuery,
                               TenantRate)
-from repro.xray.scenario import CanonicalRun, record_run
+from repro.xray.scenario import CanonicalRun, build_run, record_run
 
 __all__ = [
     "CAPSULE_SCHEMA",
@@ -35,5 +35,6 @@ __all__ = [
     "DEFAULT_NOISE_FLOOR_S",
     "DEFAULT_MIN_FRACTION",
     "CanonicalRun",
+    "build_run",
     "record_run",
 ]

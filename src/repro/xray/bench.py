@@ -31,7 +31,7 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
 from repro.trajectory import Bench, repeat_deterministic
@@ -44,34 +44,14 @@ __all__ = ["XrayWorkload", "BENCH"]
 
 @dataclass(frozen=True)
 class XrayWorkload:
-    """The seeded scenarios the xray benchmark drives."""
+    """The seeded scenarios the xray benchmark drives: ``run`` is the
+    clean MonoSpark recording; the degraded and Spark recordings are
+    its variants."""
 
-    machines: int = 4
-    disks: int = 2
-    seed: int = 1
-    tenant: str = "analytics"
-    slo_s: float = 3.0
-    num_blocks: int = 4
-    block_mb: float = 48.0
-    jobs: int = 12
-    period_s: float = 2.5
-    slow_machine: int = 1
-    slow_at: float = 5.0
-    slow_factor: float = 10.0
+    run: CanonicalRun = CanonicalRun()
     noise_floor_s: float = 0.05
     #: ``repro xray regress`` default: fail CI past this many seconds.
     regress_threshold_s: float = 0.5
-
-    def run(self, engine: str = "monospark",
-            degraded: bool = False) -> CanonicalRun:
-        """The equivalent :class:`CanonicalRun` for one recording."""
-        return CanonicalRun(
-            engine=engine, machines=self.machines, disks=self.disks,
-            seed=self.seed, tenant=self.tenant, slo_s=self.slo_s,
-            num_blocks=self.num_blocks, block_mb=self.block_mb,
-            jobs=self.jobs, period_s=self.period_s,
-            degrade_machine=self.slow_machine if degraded else None,
-            degrade_at=self.slow_at, degrade_factor=self.slow_factor)
 
 
 def _sha256(path: str) -> str:
@@ -118,11 +98,11 @@ def _blame_gate(clean: Capsule, degraded: Capsule,
     if not report.entries:
         raise AssertionError("no blame cells cleared the noise floor")
     top = report.entries[0]
-    if "network" not in top.label or top.machine_id != \
-            workload.slow_machine:
+    slow = degraded.config["degrade_machine"]
+    if "network" not in top.label or top.machine_id != slow:
         raise AssertionError(
             f"#1 blame is {top.label} on machine {top.machine_id}, "
-            f"expected network on machine {workload.slow_machine}")
+            f"expected network on machine {slow}")
     if top.delta <= 0:
         raise AssertionError(
             f"#1 blame has the wrong sign: {top.delta:+.3f}s")
@@ -199,14 +179,13 @@ def _invariants(workload: XrayWorkload) -> Dict:
     """Record the four capsules and gate every diff over them."""
     workdir = tempfile.mkdtemp(prefix="repro-xray-bench-")
     try:
-        clean = _record_deterministic(
-            workdir, "clean", workload.run("monospark"))
+        spark = replace(workload.run, engine="spark")
+        clean = _record_deterministic(workdir, "clean", workload.run)
         degraded = _record_deterministic(
-            workdir, "degraded", workload.run("monospark", degraded=True))
-        spark_clean = _record_deterministic(
-            workdir, "spark-clean", workload.run("spark"))
+            workdir, "degraded", workload.run.degraded(1))
+        spark_clean = _record_deterministic(workdir, "spark-clean", spark)
         spark_degraded = _record_deterministic(
-            workdir, "spark-degraded", workload.run("spark", degraded=True))
+            workdir, "spark-degraded", spark.degraded(1))
         return {
             "capsules": {
                 "clean": _capsule_invariants(clean, clean.path),

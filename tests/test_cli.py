@@ -193,3 +193,13 @@ class TestCommands:
         data = json.loads(out_path.read_text())
         assert data["traceEvents"]
         assert "wrote" in capsys.readouterr().out
+
+    def test_xray_record_rejects_unknown_degrade_machine(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "bad.capsule"
+        code = main(["xray", "record", str(path), "--machines", "4",
+                     "--degrade-machine", "7"])
+        assert code == 2
+        assert "--degrade-machine must be in [0, 4)" in \
+            capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []

@@ -1,14 +1,14 @@
 """Tests for the streaming observability plane (``repro.obs``)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.api.context import AnalyticsContext
 from repro.cluster import hdd_cluster
 from repro.errors import ObsError
-from repro.faults import FaultInjector, fail_slow_plan
-from repro.health import HealthMonitor, HealthPolicy
+from repro.faults import FaultInjector
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import (AlertEventRecord, DriverEventRecord,
                                   FaultEventRecord, HealthEventRecord,
@@ -20,6 +20,7 @@ from repro.obs import (AbsenceRule, AlertEngine, BurnRateRule, EventJournal,
 from repro.obs.bench import ObsWorkload, _fail_slow, _fault_free
 from repro.serve import JobServer, TraceArrivals, wordcount_template
 from repro.trace.telemetry import TelemetryRegistry
+from repro.xray.scenario import CanonicalRun, build_run
 
 
 def make_engine(**series):
@@ -384,7 +385,8 @@ class TestCollectorListener:
 @pytest.fixture(scope="module")
 def fail_slow_run():
     """One canonical fail-slow serving run with the plane attached."""
-    workload = ObsWorkload(slow_jobs=12)
+    workload = ObsWorkload(fail_slow=replace(ObsWorkload().fail_slow,
+                                             jobs=12))
     return _fail_slow(workload), workload
 
 
@@ -398,9 +400,9 @@ class TestServingIntegration:
         rules_fired = {(row["rule"], row["kind"]): row
                        for row in invariants["timeline"]}
         assert rules_fired[("source-slow", "firing")]["labels"] == \
-            f"machine={workload.slow_machine}"
+            f"machine={workload.fail_slow.degrade_machine}"
         assert rules_fired[("slo-burn", "firing")]["labels"] == \
-            f"tenant={workload.slow_tenant}"
+            f"tenant={workload.fail_slow.tenant}"
 
     def test_fail_slow_journal_interleaves_streams(self, fail_slow_run):
         invariants, _ = fail_slow_run
@@ -420,24 +422,15 @@ class TestServingIntegration:
             workload.overhead_budget_ms_per_sim_s
 
     def test_same_seed_timeline_is_byte_identical(self):
-        workload = ObsWorkload(slow_jobs=10)
+        workload = ObsWorkload(fail_slow=replace(ObsWorkload().fail_slow,
+                                                 jobs=10))
         first = _fail_slow(workload)
         second = _fail_slow(workload)
         assert first == second
 
     def test_report_carries_obs_section(self):
-        cluster = hdd_cluster(num_machines=4, num_disks=2, seed=1)
-        ctx = AnalyticsContext(cluster, engine="monospark")
-        plan = fail_slow_plan(machine_id=1, at=5.0, factor=10.0)
-        FaultInjector(ctx.engine, plan).start()
-        monitor = HealthMonitor(ctx.engine, HealthPolicy())
-        obs = ObservabilityPlane()
-        server = JobServer(ctx, seed=1, health=monitor, obs=obs)
-        server.add_tenant("analytics", slo_s=3.0)
-        template = wordcount_template(ctx, num_blocks=4, block_mb=16.0)
-        server.add_workload("analytics", template,
-                            TraceArrivals([1.0 + 2.5 * i
-                                           for i in range(10)]))
+        ctx, server, _, _ = build_run(
+            CanonicalRun(block_mb=16.0, jobs=10, health=True).degraded(1))
         report = server.run()
         text = report.format()
         assert "Alert timeline (observability plane)" in text
@@ -485,17 +478,8 @@ class TestChromeTraceInstants:
         # Re-run a tiny scenario to get a collector in hand.
         from repro.metrics.chrometrace import DRIVER_PID, trace_events
 
-        cluster = hdd_cluster(num_machines=4, num_disks=2, seed=1)
-        ctx = AnalyticsContext(cluster, engine="monospark")
-        plan = fail_slow_plan(machine_id=1, at=5.0, factor=10.0)
-        FaultInjector(ctx.engine, plan).start()
-        obs = ObservabilityPlane()
-        server = JobServer(ctx, seed=1, obs=obs)
-        server.add_tenant("analytics", slo_s=3.0)
-        template = wordcount_template(ctx, num_blocks=4, block_mb=16.0)
-        server.add_workload("analytics", template,
-                            TraceArrivals([1.0 + 2.5 * i
-                                           for i in range(8)]))
+        ctx, server, _, _ = build_run(
+            CanonicalRun(block_mb=16.0, jobs=8).degraded(1))
         server.run()
         events = trace_events(ctx.metrics)
         instants = [e for e in events if e["ph"] == "i"]

@@ -142,6 +142,13 @@ class TestRegistry:
         (breached[section] if section else breached)[key] = value
         assert check(bench, breached) != []
 
+    @pytest.mark.parametrize("name", ["obs", "xray", "datasvc"])
+    def test_fast_benches_match_committed(self, name):
+        bench = load(name)
+        with open(os.path.join(ROOT, f"BENCH_{name}.json")) as handle:
+            committed = json.load(handle)
+        assert check(bench, bench.run(1, committed), committed) == []
+
     def test_committed_clean_capsule_matches_bench_xray(self):
         with open(os.path.join(ROOT, "benchmarks", "results",
                                "xray_clean.capsule"), "rb") as handle:
