@@ -204,10 +204,6 @@ class Stage:
         """How many tasks the stage contains."""
         return len(self.tasks)
 
-    def is_ready(self, completed: set) -> bool:
-        """True once every parent stage id is in ``completed``."""
-        return all(parent in completed for parent in self.parent_stage_ids)
-
 
 @dataclass
 class JobPlan:

@@ -394,6 +394,17 @@ def _capsule_recorder(args, metrics, **config):
                        config=config).attach(metrics)
 
 
+def _out_of_range(flag: str, value: Optional[int], bound: int) -> bool:
+    """Print the usage error for an id outside ``[0, bound)``.
+
+    ``None`` (an optional flag left unset) is in range.
+    """
+    if value is None or 0 <= value < bound:
+        return False
+    print(f"{flag} must be in [0, {bound})")
+    return True
+
+
 def _make_cluster(args):
     factory = hdd_cluster if args.kind == "hdd" else ssd_cluster
     return factory(num_machines=args.machines, num_disks=args.disks,
@@ -479,6 +490,9 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if _out_of_range("--degrade-machine", args.degrade_machine,
+                     args.machines):
+        return 2
     cluster = _make_cluster(args)
     if args.degrade_machine is not None:
         cluster.degrade_machine(args.degrade_machine,
@@ -555,8 +569,7 @@ def _cmd_faults(args) -> int:
     from repro.faults import FaultInjector, FaultPlan, MachineCrash, RecoveryPolicy
     from repro.metrics.report import format_fault_report
 
-    if not 0 <= args.crash_machine < args.machines:
-        print(f"--crash-machine must be in [0, {args.machines})")
+    if _out_of_range("--crash-machine", args.crash_machine, args.machines):
         return 2
     policy = RecoveryPolicy(speculation=args.speculation)
     workload = SortWorkload(total_bytes=600 * GB * args.fraction,
@@ -598,6 +611,8 @@ def _cmd_serve(args) -> int:
     from repro.serve import (AdmissionController, JobServer, PoissonArrivals,
                              ml_template, wordcount_template)
 
+    if _out_of_range("--crash-machine", args.crash_machine, args.machines):
+        return 2
     cluster = _make_cluster(args)
     ctx = AnalyticsContext(cluster, engine=args.engine,
                            scheduling_policy="fair")
@@ -681,8 +696,8 @@ def _cmd_health(args) -> int:
     from repro.metrics.events import HealthEventRecord
     from repro.serve import wordcount_template
 
-    if not 0 <= args.degrade_machine < args.machines:
-        print(f"--degrade-machine must be in [0, {args.machines})")
+    if _out_of_range("--degrade-machine", args.degrade_machine,
+                     args.machines):
         return 2
     cluster = _make_cluster(args)
     ctx = AnalyticsContext(cluster, engine=args.engine)
@@ -739,11 +754,9 @@ def _cmd_datasvc(args) -> int:
     if args.replication < 1:
         print("--replication must be at least 1")
         return 2
-    if not 0 <= args.crash_machine < args.machines:
-        print(f"--crash-machine must be in [0, {args.machines})")
-        return 2
-    if not 0 <= args.corrupt_node < args.nodes:
-        print(f"--corrupt-node must be in [0, {args.nodes})")
+    if (_out_of_range("--crash-machine", args.crash_machine, args.machines)
+            or _out_of_range("--corrupt-node", args.corrupt_node,
+                             args.nodes)):
         return 2
     records = [f"w{i % 17} w{i % 11}" for i in range(args.records)]
 
@@ -854,10 +867,11 @@ def _cmd_obs(args) -> int:
     from repro.faults import FaultInjector, fail_slow_plan
     from repro.health import HealthMonitor, HealthPolicy
     from repro.obs import ObservabilityPlane
+    from repro.obs.plane import INTERVAL_S
     from repro.serve import JobServer, TraceArrivals, wordcount_template
 
-    if not 0 <= args.degrade_machine < args.machines:
-        print(f"--degrade-machine must be in [0, {args.machines})")
+    if _out_of_range("--degrade-machine", args.degrade_machine,
+                     args.machines):
         return 2
     cluster = _make_cluster(args)
     ctx = AnalyticsContext(cluster, engine=args.engine)
@@ -890,7 +904,7 @@ def _cmd_obs(args) -> int:
         def follow():
             seen = 0
             while True:
-                yield env.timeout(obs.interval_s)
+                yield env.timeout(INTERVAL_S)
                 transitions = obs.alert_timeline()
                 for record in transitions[seen:]:
                     exemplar = (f"  exemplar={record.trace_id}/"
@@ -928,9 +942,8 @@ def _cmd_xray(args) -> int:
                             diff_capsules, record_run)
 
     if args.xray_action == "record":
-        if (args.degrade_machine is not None
-                and not 0 <= args.degrade_machine < args.machines):
-            print(f"--degrade-machine must be in [0, {args.machines})")
+        if _out_of_range("--degrade-machine", args.degrade_machine,
+                         args.machines):
             return 2
         run = CanonicalRun(
             engine=args.engine, machines=args.machines, disks=args.disks,

@@ -47,11 +47,6 @@ class Cluster:
         """Cores across all workers."""
         return sum(m.spec.cores for m in self.machines)
 
-    @property
-    def total_disks(self) -> int:
-        """Disks across all workers."""
-        return sum(m.num_disks for m in self.machines)
-
     def machine(self, machine_id: int) -> Machine:
         """Look up one worker by id."""
         return self.machines[machine_id]

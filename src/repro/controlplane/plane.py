@@ -13,10 +13,10 @@ Robustness is layered on three mechanisms:
 
 * **Membership** -- a heartbeat loop (the gossip analogue of
   :mod:`repro.health`'s task-rate heartbeats) maintains a per-replica
-  liveness view; a peer silent for ``heartbeat_timeout_s`` is suspected
-  dead.  A replica that can reach *no* peer marks itself isolated and
-  quiesces dispatch, so a partitioned driver never split-brains a
-  shard.
+  liveness view; a peer silent for :data:`HEARTBEAT_TIMEOUT_S` is
+  suspected dead.  A replica that can reach *no* peer marks itself
+  isolated and quiesces dispatch, so a partitioned driver never
+  split-brains a shard.
 * **Leader election** -- bully-style: when a replica's view says the
   leader is dead, the highest-id replica alive in that view claims the
   role and bumps the leader epoch.  The leader alone owns shard
@@ -51,7 +51,6 @@ from repro.controlplane.ring import HashRing
 from repro.datasvc.service import DataService
 from repro.errors import ConfigError, ReproError, SimulationError
 from repro.metrics.events import DriverEventRecord
-from repro.serve.admission import AdmissionController
 from repro.serve.replica import DriverReplica
 from repro.serve.server import JobRequest, JobServer
 from repro.serve.slo import ServeReport
@@ -60,6 +59,19 @@ from repro.trace.spans import (LINK_FAILOVER_RESUME, SPAN_FAILOVER,
                                SpanLink, SpanRecord)
 
 __all__ = ["ControlPlane"]
+
+#: How often the membership loop gossips liveness and re-evaluates
+#: every replica's view.
+HEARTBEAT_INTERVAL_S = 0.5
+#: Silence after which a peer is suspected dead (above the interval,
+#: or every tick would suspect everyone).
+HEARTBEAT_TIMEOUT_S = 2.0
+#: Periodic full sweep of per-tenant checkpoints, belt-and-braces over
+#: the per-mutation writes.
+CHECKPOINT_INTERVAL_S = 5.0
+#: Nodes and replication of the metadata store holding checkpoints.
+CHECKPOINT_NODES = 2
+CHECKPOINT_REPLICATION = 2
 
 
 class ControlPlane(JobServer):
@@ -75,12 +87,12 @@ class ControlPlane(JobServer):
         report = plane.run()
         print(report.format())
 
-    ``config`` is a :class:`ControlPlanePolicy`; ``scheduling`` names
-    the per-replica job scheduler ("weighted_fair", "fifo",
-    "deadline").  ``admission``, ``seed``, ``health``, ``telemetry``,
+    ``config`` is a :class:`ControlPlanePolicy`.  ``seed``, ``health``,
     ``clarity`` and ``obs`` are :class:`~repro.serve.server.JobServer`'s;
-    ``obs`` is attached at :meth:`run`, after ``engine.controlplane`` is
-    set, so its per-driver liveness gauges and driver-down rule exist.
+    each replica schedules its jobs weighted-fair, with no admission
+    control.  ``obs`` is attached at :meth:`run`, after
+    ``engine.controlplane`` is set, so its per-driver liveness gauges
+    and driver-down rule exist.
 
     What the subclass adds to the job server: the hash ring and the
     tenant assignment it seeds, membership and leader election,
@@ -94,18 +106,15 @@ class ControlPlane(JobServer):
 
     def __init__(self, ctx, num_drivers: int = 2,
                  config: Optional[ControlPlanePolicy] = None,
-                 admission: Optional[AdmissionController] = None,
-                 scheduling: str = "weighted_fair", seed: int = 0,
-                 health=None, telemetry=None, clarity=None,
+                 seed: int = 0, health=None, clarity=None,
                  obs=None) -> None:
         if num_drivers < 1:
             raise ConfigError(f"num_drivers must be >= 1: {num_drivers}")
         self.num_drivers = num_drivers
         self.policy = config if config is not None else ControlPlanePolicy()
-        super().__init__(ctx, admission=admission, policy=scheduling,
-                         seed=seed, health=health, telemetry=telemetry,
-                         clarity=clarity, obs=obs)
-        self.ring = HashRing(vnodes=self.policy.vnodes)
+        super().__init__(ctx, seed=seed, health=health, clarity=clarity,
+                         obs=obs)
+        self.ring = HashRing()
         for i in range(num_drivers):
             self.ring.add(i)
         #: tenant -> owning driver id (sticky; changed only by failover).
@@ -121,12 +130,12 @@ class ControlPlane(JobServer):
         if self.policy.checkpoint:
             self.cp_network = Network(self.env)
             service = DataService(
-                ctx.cluster, num_nodes=self.policy.checkpoint_nodes,
-                replication=self.policy.checkpoint_replication,
+                ctx.cluster, num_nodes=CHECKPOINT_NODES,
+                replication=CHECKPOINT_REPLICATION,
                 network=self.cp_network)
             service.attach_engine(ctx.engine)
             self.store = CheckpointStore(service)
-            base = ctx.cluster.num_machines + self.policy.checkpoint_nodes
+            base = ctx.cluster.num_machines + CHECKPOINT_NODES
             bps = ctx.cluster.spec.network_bps
             for i in range(num_drivers):
                 self.cp_network.register_machine(base + i, up_bps=bps,
@@ -254,7 +263,7 @@ class ControlPlane(JobServer):
 
     def _sweep(self):
         while True:
-            yield self.env.timeout(self.policy.checkpoint_interval_s)
+            yield self.env.timeout(CHECKPOINT_INTERVAL_S)
             for driver in self.drivers:
                 if driver.down or driver.partitioned:
                     continue
@@ -273,9 +282,8 @@ class ControlPlane(JobServer):
         return not (listener.partitioned or sender.partitioned)
 
     def _membership(self):
-        interval = self.policy.heartbeat_interval_s
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(HEARTBEAT_INTERVAL_S)
             now = self.env.now
             for d in self.drivers:
                 if d.down:
@@ -288,13 +296,12 @@ class ControlPlane(JobServer):
                     self._evaluate_view(d, now)
 
     def _evaluate_view(self, d: DriverReplica, now: float) -> None:
-        timeout = self.policy.heartbeat_timeout_s
         suspected = set()
         for peer in self.drivers:
             if peer.driver_id == d.driver_id:
                 continue
             heard = d.last_heard.get(peer.driver_id, float("-inf"))
-            stale = now - heard > timeout
+            stale = now - heard > HEARTBEAT_TIMEOUT_S
             was = peer.driver_id in d.suspects
             if stale and not was:
                 d.suspects.add(peer.driver_id)

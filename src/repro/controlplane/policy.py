@@ -1,6 +1,6 @@
-"""The control plane's frozen knobs: membership, checkpoints, failover.
+"""The control plane's frozen settings: dispatch cost and feature gates.
 
-Mirrors :class:`repro.health.HealthPolicy`: every tunable is validated
+Mirrors :class:`repro.health.HealthPolicy`: every setting is validated
 at construction so a misconfigured plane fails loudly before the
 simulation starts, and the policy object is immutable so mid-run state
 cannot drift.
@@ -18,56 +18,27 @@ __all__ = ["ControlPlanePolicy"]
 
 @dataclass(frozen=True)
 class ControlPlanePolicy:
-    """Knobs for a sharded multi-driver control plane.
+    """Settings for a sharded multi-driver control plane.
 
-    * ``heartbeat_interval_s`` -- how often the membership loop gossips
-      liveness and re-evaluates every replica's view.
-    * ``heartbeat_timeout_s`` -- silence threshold after which a peer is
-      suspected dead (must exceed the interval or every tick would
-      suspect everyone).
-    * ``checkpoint_interval_s`` -- periodic full sweep of per-tenant
-      checkpoints, belt-and-braces over the per-mutation writes.
     * ``control_service_s`` -- seconds of sequential driver work each
       dispatch costs; this serialization is exactly what sharding
       tenants across replicas parallelizes.
     * ``checkpoint`` / ``failover`` -- feature gates: with
       ``checkpoint=False`` a dead driver's requests are lost; with
       ``failover=False`` nobody adopts them at all.
-    * ``vnodes`` -- virtual points per replica on the tenant hash ring.
-    * ``checkpoint_nodes`` / ``checkpoint_replication`` -- size of the
-      metadata store holding tenant checkpoints.
+
+    The heartbeat interval and timeout, the checkpoint sweep interval
+    and the checkpoint store's size are fixed constants in
+    :mod:`repro.controlplane.plane`; the ring uses
+    :class:`~repro.controlplane.ring.HashRing`'s default vnodes.
     """
 
-    heartbeat_interval_s: float = 0.5
-    heartbeat_timeout_s: float = 2.0
-    checkpoint_interval_s: float = 5.0
     control_service_s: float = 0.005
     checkpoint: bool = True
     failover: bool = True
-    vnodes: int = 64
-    checkpoint_nodes: int = 2
-    checkpoint_replication: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("heartbeat_interval_s", "heartbeat_timeout_s",
-                     "checkpoint_interval_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0: {value!r}")
         if not (math.isfinite(self.control_service_s)
                 and self.control_service_s >= 0):
             raise ConfigError(f"control_service_s must be finite and >= 0: "
                               f"{self.control_service_s!r}")
-        if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
-            raise ConfigError(
-                f"heartbeat_timeout_s ({self.heartbeat_timeout_s!r}) must "
-                f"exceed heartbeat_interval_s "
-                f"({self.heartbeat_interval_s!r})")
-        if self.vnodes < 1:
-            raise ConfigError(f"vnodes must be >= 1: {self.vnodes}")
-        if self.checkpoint_nodes < 1:
-            raise ConfigError(
-                f"checkpoint_nodes must be >= 1: {self.checkpoint_nodes}")
-        if self.checkpoint_replication < 1:
-            raise ConfigError(f"checkpoint_replication must be >= 1: "
-                              f"{self.checkpoint_replication}")

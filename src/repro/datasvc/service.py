@@ -34,10 +34,9 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
-from repro.config import MachineSpec
 from repro.datamodel.records import Partition
-from repro.errors import (ConfigError, FaultError, FetchFailed,
-                          Interrupted, MachineFailure, SimulationError)
+from repro.errors import (ConfigError, FaultError, Interrupted,
+                          MachineFailure)
 from repro.metrics.events import (PHASE_DATASVC_DRAIN, PHASE_DATASVC_READ,
                                   HealthEventRecord, TransferRecord)
 from repro.monospark.monotask import DiskMonotask
@@ -47,6 +46,11 @@ from repro.trace.spans import (LINK_DATASVC_READ, SpanLink, TraceContext)
 
 __all__ = ["DataService", "StorageNode", "StoredBlock", "Replica",
            "block_checksum"]
+
+#: Concurrent monotasks per storage-node disk.
+DISK_CONCURRENCY = 4
+#: Integrity suspicions after which a node takes no new placements.
+SUSPICION_EXCLUDE_THRESHOLD = 2
 
 
 def block_checksum(block_id: str, record_count: float,
@@ -126,7 +130,7 @@ class StorageNode:
         self.env = machine.env
         prefix = f"s{machine.machine_id}"
         self.disk_schedulers: List[ResourceScheduler] = [
-            ResourceScheduler(self.env, service.disk_concurrency,
+            ResourceScheduler(self.env, DISK_CONCURRENCY,
                               f"{prefix}.disk{i}")
             for i in range(machine.num_disks)
         ]
@@ -190,13 +194,15 @@ class DataService:
     tenant checkpoints -- passes its own :class:`Network` so metadata
     flows never perturb the max-min fair shares (and therefore the
     float-exact timing) of compute transfers.
+
+    Storage nodes share the cluster's machine spec.  Each node disk runs
+    :data:`DISK_CONCURRENCY` monotasks at once, and a node with
+    :data:`SUSPICION_EXCLUDE_THRESHOLD` integrity suspicions takes no
+    new placements; both are fixed constants.
     """
 
     def __init__(self, cluster: Cluster, num_nodes: int = 3,
-                 replication: int = 2, spec: Optional[MachineSpec] = None,
-                 disk_concurrency: int = 4,
-                 suspicion_exclude_threshold: int = 2,
-                 network=None) -> None:
+                 replication: int = 2, network=None) -> None:
         if num_nodes < 1:
             raise ConfigError("data service needs at least one node")
         if replication < 1:
@@ -206,13 +212,10 @@ class DataService:
         self.network = network if network is not None else cluster.network
         self.num_nodes = num_nodes
         self.replication = min(replication, num_nodes)
-        self.disk_concurrency = disk_concurrency
-        self.suspicion_exclude_threshold = suspicion_exclude_threshold
         self._base_id = cluster.num_machines
-        node_spec = spec or cluster.spec
         self.nodes: List[StorageNode] = [
             StorageNode(self, i, Machine(cluster.env, self._base_id + i,
-                                         node_spec, self.network))
+                                         cluster.spec, self.network))
             for i in range(num_nodes)
         ]
         self._engine = None
@@ -258,13 +261,6 @@ class DataService:
     def owns_machine(self, machine_id: int) -> bool:
         """True if ``machine_id`` names a storage node, not compute."""
         return self._base_id <= machine_id < self._base_id + self.num_nodes
-
-    def node_for_machine(self, machine_id: int) -> StorageNode:
-        """The storage node behind a fabric machine id."""
-        if not self.owns_machine(machine_id):
-            raise SimulationError(
-                f"machine {machine_id} is not a storage node")
-        return self.nodes[machine_id - self._base_id]
 
     def node_machine_id(self, node_index: int) -> int:
         """Fabric machine id of storage node ``node_index``."""
@@ -551,7 +547,7 @@ class DataService:
             self._metrics.record_event(HealthEventRecord(
                 kind="integrity-fault", machine_id=node.machine_id,
                 at=self.env.now, resource="disk", detail=detail))
-        if count >= self.suspicion_exclude_threshold:
+        if count >= SUSPICION_EXCLUDE_THRESHOLD:
             self._excluded_nodes.add(node.index)
         self.env.process(self._restore_replication(block))
 
@@ -588,10 +584,6 @@ class DataService:
             registry = self._engine.map_outputs
             if hasattr(registry, "invalidate_map"):
                 registry.invalidate_map(block.shuffle_id, block.map_index)
-
-    def shuffle_block_lost(self, block: StoredBlock) -> FetchFailed:
-        """The error a client should raise for a lost shuffle block."""
-        return FetchFailed(block.shuffle_id or 0, [block.map_index or 0])
 
     # -- fault-injection entry points ----------------------------------------
 

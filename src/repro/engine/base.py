@@ -37,7 +37,10 @@ from repro.engine.semantics import ResolvedInput, TaskWork, compute_task_work
 from repro.errors import (ExecutionError, FaultError, FetchFailed,
                           Interrupted, LinkPartitionError, ReproError,
                           SimulationError, TaskFailedError)
-from repro.faults.policy import RecoveryPolicy
+from repro.faults.policy import (MAX_ATTEMPTS, MAX_FETCH_RETRIES,
+                                 SPECULATION_MIN_COMPLETED_FRACTION,
+                                 SPECULATION_MULTIPLIER,
+                                 SPECULATION_PERCENTILE, RecoveryPolicy)
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import SpeculationRecord, TaskAttemptRecord
 from repro.simulator import Environment, Event, Process
@@ -136,7 +139,7 @@ class TaskPool:
     engines' placement identical.
 
     Failure handling follows the ``recovery`` policy: attempts that
-    raise retry with exponential backoff until ``max_attempts``;
+    raise retry with exponential backoff until ``MAX_ATTEMPTS``;
     attempts killed by a crash or a lost speculation race requeue for
     free; fetch failures run the ``on_fetch_failed`` recovery hook
     (lineage re-execution) before retrying.  The first attempt to
@@ -494,15 +497,15 @@ class TaskPool:
             return
         if outcome == "fetch-failed" and self.on_fetch_failed is not None:
             state.fetch_failures += 1
-            if state.fetch_failures > self.recovery.max_fetch_retries:
+            if state.fetch_failures > MAX_FETCH_RETRIES:
                 state.done.fail(TaskFailedError(
                     f"task {task_id}: shuffle input still missing after "
-                    f"{self.recovery.max_fetch_retries} recoveries"))
+                    f"{MAX_FETCH_RETRIES} recoveries"))
                 return
             self.env.process(self._recover_and_requeue(state, error))
             return
         state.failures += 1
-        if state.failures >= self.recovery.max_attempts:
+        if state.failures >= MAX_ATTEMPTS:
             state.done.fail(TaskFailedError(
                 f"task {task_id} failed after {state.failures} "
                 f"attempts: {error}"))
@@ -899,8 +902,8 @@ class BaseEngine:
         """Launch duplicates of stragglers until the stage finishes.
 
         A running task is a straggler once enough siblings completed and
-        it has run longer than ``multiplier`` x the ``percentile`` of
-        their durations (the policy's knobs)."""
+        it has run longer than ``SPECULATION_MULTIPLIER`` x the
+        ``SPECULATION_PERCENTILE`` of their durations."""
         policy = self.recovery
         while not barrier.triggered:
             yield self.env.timeout(policy.speculation_interval_s)
@@ -911,13 +914,13 @@ class BaseEngine:
             if not running:
                 continue
             needed = max(
-                2.0, stage.num_tasks * policy.speculation_min_completed_fraction)
+                2.0, stage.num_tasks * SPECULATION_MIN_COMPLETED_FRACTION)
             if len(completed) < needed:
                 continue
             durations = sorted(completed)
             index = min(len(durations) - 1,
-                        int(len(durations) * policy.speculation_percentile))
-            threshold = durations[index] * policy.speculation_multiplier
+                        int(len(durations) * SPECULATION_PERCENTILE))
+            threshold = durations[index] * SPECULATION_MULTIPLIER
             for task_id, started_at in running:
                 if self.env.now - started_at > threshold:
                     self.pool.speculate(task_id)

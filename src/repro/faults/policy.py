@@ -1,4 +1,4 @@
-"""Retry, backoff, and speculation knobs for fault recovery.
+"""Retry, backoff, and speculation settings for fault recovery.
 
 The engines recover from injected faults (``repro.faults.plan``) the way
 Spark does: failed attempts retry with bounded exponential backoff,
@@ -16,6 +16,21 @@ from repro.errors import ConfigError
 
 __all__ = ["RecoveryPolicy"]
 
+#: Give up on a task after this many genuinely failed attempts
+#: (killed attempts -- crashes, lost speculation races -- are free).
+MAX_ATTEMPTS = 4
+#: Fetch failures re-run lineage rather than burning attempts, but are
+#: still bounded to catch unrecoverable shuffles.
+MAX_FETCH_RETRIES = 8
+#: Fraction of a stage's tasks that must have completed before any
+#: running task can be called a straggler.
+SPECULATION_MIN_COMPLETED_FRACTION = 0.5
+#: A running task is overdue when it has run longer than
+#: SPECULATION_MULTIPLIER x the SPECULATION_PERCENTILE of completed
+#: durations.
+SPECULATION_PERCENTILE = 0.75
+SPECULATION_MULTIPLIER = 1.5
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -27,37 +42,25 @@ class RecoveryPolicy:
     missing cap would let ``backoff_factor ** failures`` grow without
     bound across many retries.  ``backoff_max_s`` is that validated
     cap: no retry ever waits longer, however many attempts preceded it.
+
+    The attempt and fetch-retry limits and the straggler test are fixed
+    constants of this module (:data:`MAX_ATTEMPTS`,
+    :data:`MAX_FETCH_RETRIES`, ``SPECULATION_*``), not settings.
     """
 
-    #: Give up on a task after this many genuinely failed attempts
-    #: (killed attempts -- crashes, lost speculation races -- are free).
-    max_attempts: int = 4
     #: Exponential backoff before retrying a failed attempt.
     backoff_base_s: float = 0.5
     backoff_factor: float = 2.0
     #: Hard cap on any single retry delay (the validated ``max_backoff``
     #: bound; must be finite and > 0).
     backoff_max_s: float = 10.0
-    #: Fetch failures re-run lineage rather than burning attempts, but
-    #: are still bounded to catch unrecoverable shuffles.
-    max_fetch_retries: int = 8
     #: Speculation is off by default so fault-free runs are identical
     #: to runs without any recovery machinery.
     speculation: bool = False
     #: How often the stage monitor looks for stragglers.
     speculation_interval_s: float = 1.0
-    #: Fraction of a stage's tasks that must have completed before any
-    #: running task can be called a straggler.
-    speculation_min_completed_fraction: float = 0.5
-    #: A running task is overdue when it has run longer than
-    #: ``multiplier`` x the ``percentile`` of completed durations.
-    speculation_percentile: float = 0.75
-    speculation_multiplier: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError(
-                f"max_attempts must be >= 1: {self.max_attempts}")
         if not (math.isfinite(self.backoff_base_s)
                 and self.backoff_base_s >= 0):
             raise ConfigError(
@@ -73,9 +76,6 @@ class RecoveryPolicy:
             raise ConfigError(
                 f"backoff_max_s must be finite and > 0: "
                 f"{self.backoff_max_s}")
-        if self.max_fetch_retries < 1:
-            raise ConfigError(
-                f"max_fetch_retries must be >= 1: {self.max_fetch_retries}")
         if not (math.isfinite(self.speculation_interval_s)
                 and self.speculation_interval_s > 0):
             raise ConfigError(

@@ -4,9 +4,9 @@ Pure bookkeeping with no simulation or engine dependencies, so its
 decisions are trivially deterministic: the same tick inputs always
 produce the same transitions.  Per machine::
 
-    HEALTHY --suspect x threshold--> EXCLUDED
-    EXCLUDED --probation_after_s elapsed--> PROBATION
-    PROBATION --clean x probation_ticks--> HEALTHY (reinstated)
+    HEALTHY --suspect x SUSPICION_THRESHOLD--> EXCLUDED
+    EXCLUDED --PROBATION_AFTER_S elapsed--> PROBATION
+    PROBATION --clean x PROBATION_TICKS--> HEALTHY (reinstated)
     PROBATION --suspect on fresh data--> EXCLUDED (re-excluded)
 
 Probation verdicts require *fresh* observations (probe attempts that
@@ -16,16 +16,21 @@ nor clear it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
-
-from repro.health.policy import HealthPolicy
 
 __all__ = ["Blacklist", "HEALTHY", "EXCLUDED", "PROBATION"]
 
 HEALTHY = "healthy"
 EXCLUDED = "excluded"
 PROBATION = "probation"
+
+#: Consecutive suspect ticks before exclusion.
+SUSPICION_THRESHOLD = 2
+#: Seconds an exclusion lasts before probation begins.
+PROBATION_AFTER_S = 30.0
+#: Consecutive clean probation ticks before reinstatement.
+PROBATION_TICKS = 2
 
 
 @dataclass
@@ -36,13 +41,10 @@ class _MachineState:
     clean_ticks: int = 0
 
 
-@dataclass
 class Blacklist:
     """Tracks each machine's exclusion state across monitor ticks."""
 
-    policy: HealthPolicy = field(default_factory=HealthPolicy)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._machines: Dict[int, _MachineState] = {}
 
     def _entry(self, machine_id: int) -> _MachineState:
@@ -71,20 +73,19 @@ class Blacklist:
         ``["exclude"]``, ``["probation"]``, ``["reinstate"]``, ``[]``.
         """
         entry = self._entry(machine_id)
-        policy = self.policy
         if entry.state == HEALTHY:
             if not suspect:
                 entry.strikes = 0
                 return []
             entry.strikes += 1
-            if entry.strikes >= policy.suspicion_threshold and can_exclude:
+            if entry.strikes >= SUSPICION_THRESHOLD and can_exclude:
                 entry.state = EXCLUDED
                 entry.since = now
                 entry.strikes = 0
                 return ["exclude"]
             return ["suspect"]
         if entry.state == EXCLUDED:
-            if now - entry.since >= policy.probation_after_s - 1e-9:
+            if now - entry.since >= PROBATION_AFTER_S - 1e-9:
                 entry.state = PROBATION
                 entry.since = now
                 entry.clean_ticks = 0
@@ -98,7 +99,7 @@ class Blacklist:
             entry.since = now
             return ["exclude"]
         entry.clean_ticks += 1
-        if entry.clean_ticks >= policy.probation_ticks:
+        if entry.clean_ticks >= PROBATION_TICKS:
             entry.state = HEALTHY
             entry.strikes = 0
             return ["reinstate"]

@@ -23,7 +23,8 @@ online:
 
 Estimators consume the metrics collector's record streams through
 cursors, folding each tick's new observations as a batch mean into a
-per-``(machine, resource)`` EWMA.  Batch means make the estimate
+per-``(machine, resource)`` EWMA whose new-observation weight is the
+fixed constant :data:`EWMA_ALPHA`.  Batch means make the estimate
 insensitive to completion order within a tick (slow flows finish last;
 a raw per-record EWMA would let one straggling flow swamp a healthy
 machine's estimate).  Everything is a deterministic function of the
@@ -42,12 +43,14 @@ __all__ = ["MonotaskRateEstimator", "TaskEwmaEstimator", "TASK"]
 #: The Spark estimator's only "resource": blended task wall-clock.
 TASK = "task"
 
+#: EWMA weight of each tick's batch mean in a rate estimate.
+EWMA_ALPHA = 0.5
+
 
 class _RateTable:
     """Batch-mean EWMA rates keyed by (machine, resource)."""
 
-    def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._rates: Dict[Tuple[int, str], float] = {}
         self._counts: Dict[Tuple[int, str], int] = {}
         self._batch: Dict[Tuple[int, str], Tuple[float, int]] = {}
@@ -65,7 +68,7 @@ class _RateTable:
             mean = total / count
             old = self._rates.get(key)
             self._rates[key] = mean if old is None else \
-                (1.0 - self.alpha) * old + self.alpha * mean
+                (1.0 - EWMA_ALPHA) * old + EWMA_ALPHA * mean
             self._counts[key] = self._counts.get(key, 0) + count
         self._batch.clear()
 
@@ -112,10 +115,9 @@ class MonotaskRateEstimator:
     resources = (CPU, DISK, NETWORK)
     name = "monotask-rates"
 
-    def __init__(self, metrics: MetricsCollector,
-                 alpha: float = 0.5) -> None:
+    def __init__(self, metrics: MetricsCollector) -> None:
         self.metrics = metrics
-        self.table = _RateTable(alpha)
+        self.table = _RateTable()
         self._monotasks = _StreamCursor()
         self._transfers = _StreamCursor()
 
@@ -164,10 +166,9 @@ class TaskEwmaEstimator:
     resources = (TASK,)
     name = "task-ewma"
 
-    def __init__(self, metrics: MetricsCollector,
-                 alpha: float = 0.5) -> None:
+    def __init__(self, metrics: MetricsCollector) -> None:
         self.metrics = metrics
-        self.table = _RateTable(alpha)
+        self.table = _RateTable()
         self._tasks = _StreamCursor()
 
     def update(self) -> None:

@@ -28,19 +28,26 @@ from repro.metrics.events import HealthEventRecord
 
 __all__ = ["HealthMonitor"]
 
+#: Suspect when rate < SLOW_FACTOR * cluster median for a resource.
+SLOW_FACTOR = 0.5
+#: Observations required before a machine's rate is trusted.
+MIN_OBSERVATIONS = 3
+#: Never exclude beyond this fraction of the cluster (dead machines
+#: count against the budget; losing quorum to the monitor would be
+#: worse than tolerating a slow machine).
+MAX_EXCLUDED_FRACTION = 0.5
+
 
 class HealthMonitor:
     """Online per-machine health tracking and exclusion for one engine."""
 
-    def __init__(self, engine, policy: Optional[HealthPolicy] = None,
-                 estimator=None, telemetry=None) -> None:
+    def __init__(self, engine, policy: Optional[HealthPolicy] = None) -> None:
         self.engine = engine
         self.env = engine.env
         self.metrics = engine.metrics
         self.policy = policy or HealthPolicy()
-        self.estimator = estimator if estimator is not None \
-            else engine.health_estimator()
-        self.blacklist = Blacklist(self.policy)
+        self.estimator = engine.health_estimator()
+        self.blacklist = Blacklist()
         self._machine_ids = sorted(
             m.machine_id for m in engine.cluster.machines)
         #: machine_id -> count of verified integrity faults (checksum
@@ -56,22 +63,6 @@ class HealthMonitor:
         self._missed: set = set()
         self._stopped = False
         self._started = False
-        #: Optional :class:`repro.trace.TelemetryRegistry`: the monitor
-        #: registers its own gauges and samples the whole registry at
-        #: every tick, so the time series it bases decisions on (queue
-        #: depths, exclusions) is recorded on the same cadence as the
-        #: decisions themselves.
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.gauge(
-                "repro_health_excluded_machines",
-                "Machines the health monitor holds excluded or on "
-                "probation",
-                self.blacklist.excluded_count, engine=engine.name)
-            telemetry.gauge(
-                "repro_health_heartbeat_misses",
-                "Machines currently missing heartbeats (crashed)",
-                lambda: len(self._missed), engine=engine.name)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -97,8 +88,6 @@ class HealthMonitor:
             yield self.env.timeout(interval)
             if self._stopped:
                 return
-            if self.telemetry is not None:
-                self.telemetry.sample(self.env.now)
             self._tick()
 
     # -- one tick ------------------------------------------------------------------
@@ -139,8 +128,7 @@ class HealthMonitor:
             alive.append(machine_id)
         self.estimator.update()
         suspects = self._find_suspects(alive)
-        budget = int(self.policy.max_excluded_fraction
-                     * len(self._machine_ids))
+        budget = int(MAX_EXCLUDED_FRACTION * len(self._machine_ids))
         for machine_id in alive:
             count = self.estimator.observation_count(machine_id)
             fresh = count > self._last_counts.get(machine_id, 0)
@@ -175,12 +163,11 @@ class HealthMonitor:
         Needs at least three comparably observed machines per resource
         -- with fewer there is no meaningful "cluster typical" rate.
         """
-        policy = self.policy
         table = self.estimator.table
         suspects: Dict[int, Tuple[str, float]] = {}
         for resource in self.estimator.resources:
             sample = [(m, table.rate(m, resource)) for m in alive
-                      if table.count(m, resource) >= policy.min_observations]
+                      if table.count(m, resource) >= MIN_OBSERVATIONS]
             if len(sample) < 3:
                 continue
             typical = median(rate for _, rate in sample)
@@ -188,7 +175,7 @@ class HealthMonitor:
                 continue
             for machine_id, rate in sample:
                 relative = rate / typical
-                if relative >= policy.slow_factor:
+                if relative >= SLOW_FACTOR:
                     continue
                 current = suspects.get(machine_id)
                 if current is None or relative < current[1]:

@@ -1,4 +1,4 @@
-"""Knobs for online gray-failure detection and exclusion."""
+"""The one setting of online gray-failure detection: its tick."""
 
 from __future__ import annotations
 
@@ -11,61 +11,28 @@ __all__ = ["HealthPolicy"]
 
 @dataclass(frozen=True)
 class HealthPolicy:
-    """How the health monitor decides a machine is fail-slow.
+    """How often the health monitor decides whether a machine is
+    fail-slow.
 
     Every tick the monitor compares each machine's observed per-resource
     rate to the cluster median; a machine whose rate falls below
-    ``slow_factor`` of the median is *suspect*.  After
-    ``suspicion_threshold`` consecutive suspect ticks the machine is
-    excluded; ``probation_after_s`` seconds later it enters probation,
-    where a bounded number of probe attempts generate fresh
-    observations, and after ``probation_ticks`` consecutive clean ticks
-    it is reinstated (a still-slow machine is re-excluded instead).
-    All thresholds are deterministic functions of the simulation, so
-    exclusion decisions replay byte-identically under the same seed.
+    :data:`~repro.health.monitor.SLOW_FACTOR` of the median is
+    *suspect*.  After :data:`~repro.health.blacklist.SUSPICION_THRESHOLD`
+    consecutive suspect ticks the machine is excluded;
+    :data:`~repro.health.blacklist.PROBATION_AFTER_S` seconds later it
+    enters probation, where a bounded number of probe attempts generate
+    fresh observations, and after
+    :data:`~repro.health.blacklist.PROBATION_TICKS` consecutive clean
+    ticks it is reinstated (a still-slow machine is re-excluded
+    instead).  Those thresholds are fixed constants; only the tick
+    interval is a setting.  All of them are deterministic functions of
+    the simulation, so exclusion decisions replay byte-identically
+    under the same seed.
     """
 
     #: Seconds between monitor ticks (the heartbeat interval).
     interval_s: float = 5.0
-    #: Suspect when rate < slow_factor * cluster median for a resource.
-    slow_factor: float = 0.5
-    #: Observations required before a machine's rate is trusted.
-    min_observations: int = 3
-    #: Consecutive suspect ticks before exclusion.
-    suspicion_threshold: int = 2
-    #: Seconds an exclusion lasts before probation begins.
-    probation_after_s: float = 30.0
-    #: Consecutive clean probation ticks before reinstatement.
-    probation_ticks: int = 2
-    #: Never exclude beyond this fraction of the cluster (dead machines
-    #: count against the budget; losing quorum to the monitor would be
-    #: worse than tolerating a slow machine).
-    max_excluded_fraction: float = 0.5
-    #: EWMA weight of each new observation in the rate estimate.
-    ewma_alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if not (self.interval_s > 0):
             raise ConfigError(f"interval_s must be > 0: {self.interval_s}")
-        if not (0.0 < self.slow_factor < 1.0):
-            raise ConfigError(
-                f"slow_factor must be in (0, 1): {self.slow_factor}")
-        if self.min_observations < 1:
-            raise ConfigError(
-                f"min_observations must be >= 1: {self.min_observations}")
-        if self.suspicion_threshold < 1:
-            raise ConfigError(
-                f"suspicion_threshold must be >= 1: "
-                f"{self.suspicion_threshold}")
-        if not (self.probation_after_s > 0):
-            raise ConfigError(
-                f"probation_after_s must be > 0: {self.probation_after_s}")
-        if self.probation_ticks < 1:
-            raise ConfigError(
-                f"probation_ticks must be >= 1: {self.probation_ticks}")
-        if not (0.0 < self.max_excluded_fraction <= 1.0):
-            raise ConfigError(f"max_excluded_fraction must be in (0, 1]: "
-                              f"{self.max_excluded_fraction}")
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ConfigError(
-                f"ewma_alpha must be in (0, 1]: {self.ewma_alpha}")

@@ -10,7 +10,7 @@ small to fill the cluster runs at a measured/modeled ratio well above
 a constant.  What is stable on a healthy cluster is that a given job
 *template* keeps producing the same ratio run after run.
 
-So the detector self-calibrates: the first ``baseline_samples``
+So the detector self-calibrates: the first :data:`BASELINE_SAMPLES`
 attributable jobs per template establish that template's baseline
 ratio (their median), and from then on every job is scored by its
 *normalized* ratio -- measured/modeled divided by the baseline.  A
@@ -18,7 +18,7 @@ healthy cluster holds the normalized ratio at ~1.0; a sick NIC, a
 contended disk, or a failing-slow machine pushes the jobs it touches
 off their baseline before anyone has diagnosed why, and the verdict
 names the worst stage.  Firing condition: normalized ratio outside
-``[1/envelope, envelope]``.
+``[1/DRIFT_ENVELOPE, DRIFT_ENVELOPE]``.
 
 Stage profiles come from the collector's per-job cache
 (``metrics.stage_profiles``, shared with admission and clarity).  On
@@ -37,7 +37,17 @@ from repro.errors import ModelError, ObsError
 from repro.model.ideal import hardware_profile, model_stage
 from repro.stats import percentile
 
-__all__ = ["DriftVerdict", "ModelDriftDetector"]
+__all__ = ["DRIFT_ENVELOPE", "DriftVerdict", "ModelDriftDetector"]
+
+#: Tolerated multiplicative drift of the normalized ratio; also the
+#: plane's ``model-drift`` rule threshold.
+DRIFT_ENVELOPE = 2.0
+#: Attributable jobs per template that calibrate its baseline.
+BASELINE_SAMPLES = 2
+#: Verdicts retained, newest last.
+KEEP = 256
+#: Scored verdicts the drift-ratio gauge averages over.
+WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -73,38 +83,23 @@ class DriftVerdict:
 class ModelDriftDetector:
     """Compares completed jobs against the ideal model, online.
 
-    ``envelope`` is the tolerated multiplicative drift of the
-    *normalized* ratio: a job drifts when ``normalized > envelope`` or
-    ``normalized < 1 / envelope`` (running far *faster* than baseline
-    also means the detector's picture of the workload is stale).
-    ``baseline_samples`` attributable jobs per template calibrate that
-    template's baseline (their median) before scoring starts.
-    Verdicts are kept newest-last, bounded by ``keep``;
+    A job drifts when its normalized ratio is above
+    :data:`DRIFT_ENVELOPE` or below its inverse (running far *faster*
+    than baseline also means the detector's picture of the workload is
+    stale).  :data:`BASELINE_SAMPLES` attributable jobs per template
+    calibrate that template's baseline (their median) before scoring
+    starts.  Verdicts are kept newest-last, bounded by :data:`KEEP`;
     :meth:`drift_ratio` feeds the plane's ``repro_obs_drift_ratio``
-    gauge with the mean normalized ratio over the last ``window``
+    gauge with the mean normalized ratio over the last :data:`WINDOW`
     scored verdicts (1.0 when there are none, so the gauge reads "no
-    drift" on an idle or still-calibrating cluster).
+    drift" on an idle or still-calibrating cluster).  All four are
+    fixed constants.
     """
 
-    def __init__(self, cluster=None, envelope: float = 2.0,
-                 baseline_samples: int = 2, keep: int = 256,
-                 window: int = 8) -> None:
-        if not envelope > 1.0:
-            raise ObsError(
-                f"drift envelope must be > 1.0: {envelope!r}")
-        if baseline_samples < 1:
-            raise ObsError(
-                f"baseline_samples must be >= 1: {baseline_samples}")
-        if keep < 1 or window < 1:
-            raise ObsError(
-                f"keep and window must be >= 1: {keep}, {window}")
+    def __init__(self, cluster=None) -> None:
         self.cluster = cluster
-        self.envelope = envelope
-        self.baseline_samples = baseline_samples
-        self.keep = keep
-        self.window = window
         self.verdicts: List[DriftVerdict] = []
-        #: template -> calibration ratios (until baseline_samples).
+        #: template -> calibration ratios (until BASELINE_SAMPLES).
         self._calibration: Dict[str, List[float]] = {}
         #: template -> established baseline ratio.
         self._baselines: Dict[str, float] = {}
@@ -156,7 +151,7 @@ class ModelDriftDetector:
         if baseline is None:
             samples = self._calibration.setdefault(template, [])
             samples.append(ratio)
-            if len(samples) >= self.baseline_samples:
+            if len(samples) >= BASELINE_SAMPLES:
                 self._baselines[template] = percentile(samples, 50.0)
                 del self._calibration[template]
             return self._retain(DriftVerdict(
@@ -165,14 +160,14 @@ class ModelDriftDetector:
                 modeled_s=modeled, ratio=ratio,
                 worst_stage_id=worst_id, worst_stage_ratio=worst_ratio))
         normalized = ratio / baseline
-        drifting = (normalized > self.envelope
-                    or normalized < 1.0 / self.envelope)
+        drifting = (normalized > DRIFT_ENVELOPE
+                    or normalized < 1.0 / DRIFT_ENVELOPE)
         reason = ""
         if drifting:
             direction = "above" if normalized > 1.0 else "below"
             reason = (f"job {job_id} runs at {normalized:.2f}x its "
                       f"template baseline, {direction} the "
-                      f"{self.envelope:g}x envelope; worst stage "
+                      f"{DRIFT_ENVELOPE:g}x envelope; worst stage "
                       f"{worst_id} at {worst_ratio:.2f}x the model")
         return self._retain(DriftVerdict(
             job_id=job_id, tenant=tenant, at=at, attributable=True,
@@ -183,14 +178,14 @@ class ModelDriftDetector:
 
     def _retain(self, verdict: DriftVerdict) -> DriftVerdict:
         self.verdicts.append(verdict)
-        del self.verdicts[:-self.keep]
+        del self.verdicts[:-KEEP]
         return verdict
 
     # -- gauge feeds ---------------------------------------------------------------
 
     def drift_ratio(self) -> float:
         """Mean normalized ratio over recently *scored* verdicts."""
-        recent = [v.normalized for v in self.verdicts[-self.window:]
+        recent = [v.normalized for v in self.verdicts[-WINDOW:]
                   if v.attributable and v.normalized == v.normalized]
         if not recent:
             return 1.0

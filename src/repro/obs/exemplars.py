@@ -30,6 +30,9 @@ Labels = Tuple[Tuple[str, str], ...]
 #: Reserved series key for the globally worst recent job.
 WORST_JOB_METRIC = "repro_obs_worst_job"
 
+#: Recent exemplars retained per series key.
+KEEP_PER_SERIES = 16
+
 
 @dataclass(frozen=True)
 class Exemplar:
@@ -52,20 +55,15 @@ class Exemplar:
 class ExemplarStore:
     """Bounded per-series lists of recent exemplars.
 
-    ``keep_per_series`` recent exemplars are retained per key (newest
-    last); :meth:`lookup` returns the *worst* (highest value) exemplar
-    within ``window_s`` of now, so a firing alert links to the most
-    representative recent offender, not merely the latest one.
+    :data:`KEEP_PER_SERIES` recent exemplars are retained per key
+    (newest last); :meth:`lookup` returns the *worst* (highest value)
+    exemplar within ``window_s`` of now, so a firing alert links to the
+    most representative recent offender, not merely the latest one.
     """
 
-    def __init__(self, keep_per_series: int = 16,
-                 window_s: float = 120.0) -> None:
-        if keep_per_series < 1:
-            raise ObsError(
-                f"keep_per_series must be >= 1: {keep_per_series}")
+    def __init__(self, window_s: float = 120.0) -> None:
         if not window_s > 0:
             raise ObsError(f"window_s must be positive: {window_s!r}")
-        self.keep_per_series = keep_per_series
         self.window_s = window_s
         self._series: Dict[Tuple[str, Labels], List[Exemplar]] = {}
 
@@ -75,7 +73,7 @@ class ExemplarStore:
         key = (metric, labels)
         bucket = self._series.setdefault(key, [])
         bucket.append(exemplar)
-        del bucket[:-self.keep_per_series]
+        del bucket[:-KEEP_PER_SERIES]
 
     def lookup(self, metric: str, labels: Labels,
                now: float) -> Optional[Exemplar]:

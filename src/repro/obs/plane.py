@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ObsError, SimulationError
 from repro.metrics.events import ServeRecord
 from repro.obs.alerts import Alert, AlertEngine
-from repro.obs.drift import DriftVerdict, ModelDriftDetector
+from repro.obs.drift import DRIFT_ENVELOPE, DriftVerdict, ModelDriftDetector
 from repro.obs.exemplars import WORST_JOB_METRIC, Exemplar, ExemplarStore
 from repro.obs.journal import EventJournal
 from repro.obs.rules import (AbsenceRule, BurnRateRule, ThresholdRule)
@@ -67,6 +67,15 @@ DRIFT_METRIC = "repro_obs_drift_ratio"
 DRIVER_UP_METRIC = "repro_obs_driver_up"
 OVERHEAD_METRIC = "repro_obs_self_overhead_ms_per_s"
 
+#: The evaluation tick, in simulated seconds.
+INTERVAL_S = 1.0
+#: Relative-throughput floor below which a source uplink is sick.
+SOURCE_SLOW_THRESHOLD = 0.5
+#: How far back (simulated seconds) a source's flows count.
+SOURCE_WINDOW_S = 10.0
+#: The burn-rate rule's SLO objective.
+SLO_OBJECTIVE = 0.99
+
 
 class ObservabilityPlane:
     """Streaming alerting over a serving or control-plane run.
@@ -79,39 +88,19 @@ class ObservabilityPlane:
         report = server.run()        # report carries firing alerts
         print(obs.journal.format())  # the unified event journal
 
-    ``interval_s`` is the evaluation cadence (simulated seconds);
-    ``drift_envelope`` the tolerated measured/modeled ratio;
-    ``source_slow_threshold`` the relative-throughput floor below which
-    a source machine's uplink is declared sick.  ``default_rules=False``
+    The plane ticks every :data:`INTERVAL_S` simulated seconds.  A
+    source machine's uplink is declared sick when its relative
+    throughput falls below :data:`SOURCE_SLOW_THRESHOLD`, and drift
+    beyond :data:`~repro.obs.drift.DRIFT_ENVELOPE` fires
+    ``model-drift``; both are fixed constants.  ``default_rules=False``
     starts with an empty rulebook (add your own via :meth:`add_rule`).
     """
 
-    def __init__(self, interval_s: float = 1.0,
-                 drift_envelope: float = 2.0,
-                 source_slow_threshold: float = 0.5,
-                 source_window_s: float = 10.0,
-                 slo_objective: float = 0.99,
-                 capacity_per_series: int = 4096,
-                 retention_s: Optional[float] = None,
-                 journal_capacity: int = 4096,
-                 default_rules: bool = True) -> None:
-        if not interval_s > 0:
-            raise ObsError(
-                f"obs interval must be positive: {interval_s!r}")
-        if not 0.0 < source_slow_threshold < 1.0:
-            raise ObsError(f"source_slow_threshold must be in (0, 1): "
-                           f"{source_slow_threshold!r}")
-        self.interval_s = interval_s
-        self.drift_envelope = drift_envelope
-        self.source_slow_threshold = source_slow_threshold
-        self.source_window_s = source_window_s
-        self.slo_objective = slo_objective
+    def __init__(self, default_rules: bool = True) -> None:
         self.default_rules = default_rules
-        self.registry = TelemetryRegistry(
-            capacity_per_series=capacity_per_series,
-            retention_s=retention_s)
+        self.registry = TelemetryRegistry()
         self.exemplars = ExemplarStore()
-        self.journal = EventJournal(capacity=journal_capacity)
+        self.journal = EventJournal()
         #: Built at :meth:`attach` (needs the collector for records).
         self.alerts: Optional[AlertEngine] = None
         self.drift: Optional[ModelDriftDetector] = None
@@ -124,7 +113,7 @@ class ObservabilityPlane:
         # Per-source transfer-rate state, recomputed per tick.
         self._relrate: Dict[int, float] = {}
         self._transfer_cursor = 0
-        #: machine -> [(end_t, bytes/s)] flows within source_window_s.
+        #: machine -> [(end_t, bytes/s)] flows within SOURCE_WINDOW_S.
         self._flows: Dict[int, List[Tuple[float, float]]] = {}
         # Self-overhead account (wall clock; observable, never
         # load-bearing).
@@ -157,8 +146,7 @@ class ObservabilityPlane:
         self.metrics = engine.metrics
         self.alerts = AlertEngine(self.registry, metrics=self.metrics,
                                   exemplars=self.exemplars)
-        self.drift = ModelDriftDetector(cluster=engine.cluster,
-                                        envelope=self.drift_envelope)
+        self.drift = ModelDriftDetector(cluster=engine.cluster)
         # The engine's own gauges (queue depths, flows, dirty bytes,
         # plus datasvc / control-plane chains) become rule targets too.
         engine.register_telemetry(self.registry)
@@ -243,32 +231,30 @@ class ObservabilityPlane:
             self.alerts.add_rule(BurnRateRule(
                 name="slo-burn", good_metric=SLO_GOOD_METRIC,
                 total_metric=SLO_TOTAL_METRIC,
-                objective=self.slo_objective, severity="critical",
+                objective=SLO_OBJECTIVE, severity="critical",
                 summary="tenant is burning its SLO error budget"))
             self.alerts.add_rule(AbsenceRule(
                 name="slo-signal", metric=SLO_TOTAL_METRIC,
-                stale_after_s=max(15.0, 5 * self.interval_s),
+                stale_after_s=15.0,
                 severity="warning",
                 summary="SLO request counters stopped being sampled"))
         self.alerts.add_rule(ThresholdRule(
             name="source-slow", metric=RELRATE_METRIC, op="<",
-            threshold=self.source_slow_threshold,
-            window_s=2 * self.interval_s, agg="last",
-            for_s=2 * self.interval_s, severity="critical",
+            threshold=SOURCE_SLOW_THRESHOLD,
+            window_s=2 * INTERVAL_S, agg="last",
+            for_s=2 * INTERVAL_S, severity="critical",
             summary="machine's network uplink is serving transfers far "
                     "below the cluster-typical rate"))
         self.alerts.add_rule(ThresholdRule(
             name="model-drift", metric=DRIFT_METRIC, op=">",
-            threshold=self.drift_envelope,
-            window_s=max(5.0, 2 * self.interval_s), agg="last",
+            threshold=DRIFT_ENVELOPE, window_s=5.0, agg="last",
             severity="warning",
             summary="measured job times drifted outside the ideal "
                     "model's envelope"))
         if getattr(self.engine, "controlplane", None) is not None:
             self.alerts.add_rule(ThresholdRule(
                 name="driver-down", metric=DRIVER_UP_METRIC, op="<",
-                threshold=0.5, window_s=max(5.0, 2 * self.interval_s),
-                agg="last", severity="critical",
+                threshold=0.5, window_s=5.0, agg="last", severity="critical",
                 summary="driver replica is down"))
 
     # -- event stream --------------------------------------------------------------
@@ -343,7 +329,7 @@ class ObservabilityPlane:
     def _run(self):
         while self._running:
             self._tick(self.env.now)
-            yield self.env.timeout(self.interval_s)
+            yield self.env.timeout(INTERVAL_S)
 
     def _tick(self, now: float) -> None:
         wall_start = time.perf_counter()
@@ -365,7 +351,7 @@ class ObservabilityPlane:
         against the cluster median instead of dragging it down.
         """
         transfers = self.metrics.transfers
-        horizon = now - self.source_window_s
+        horizon = now - SOURCE_WINDOW_S
         while self._transfer_cursor < len(transfers):
             t = transfers[self._transfer_cursor]
             self._transfer_cursor += 1

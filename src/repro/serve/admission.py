@@ -31,18 +31,16 @@ from repro.model import (HardwareProfile, StageProfile, WhatIf,
 
 __all__ = ["CostEstimator", "AdmissionController"]
 
+#: EWMA weight of a template's newest measured duration.
+SMOOTHING = 0.5
+
 
 class CostEstimator:
     """Per-template service-time estimates learned from completed jobs."""
 
-    def __init__(self, engine: BaseEngine,
-                 smoothing: float = 0.5) -> None:
-        if not 0 < smoothing <= 1.0:
-            raise ConfigError(f"smoothing must be in (0, 1]: {smoothing}")
+    def __init__(self, engine: BaseEngine) -> None:
         self.engine = engine
         self.hardware: HardwareProfile = hardware_profile(engine.cluster)
-        #: EWMA weight of the newest measurement.
-        self.smoothing = smoothing
         #: template -> smoothed measured duration (all engines).
         self._measured: Dict[str, float] = {}
         #: template -> monotask profiles of the latest completed instance
@@ -57,8 +55,8 @@ class CostEstimator:
             self._measured[template] = result.duration
         else:
             self._measured[template] = (
-                self.smoothing * result.duration
-                + (1.0 - self.smoothing) * previous)
+                SMOOTHING * result.duration
+                + (1.0 - SMOOTHING) * previous)
         try:
             self._profiles[template] = metrics.stage_profiles(result.job_id)
         except ModelError:

@@ -234,11 +234,6 @@ class ServeReport:
         self.obs_journal = counts
 
     @property
-    def total_shed(self) -> int:
-        """Requests rejected by admission control, across tenants."""
-        return sum(s.shed for s in self.stats)
-
-    @property
     def total_lost(self) -> int:
         """Requests lost to unrecovered driver failures, across tenants."""
         return sum(s.lost for s in self.stats)

@@ -508,10 +508,6 @@ class Network:
         """Remove a partition; subsequent transfers flow normally."""
         self._partitions.discard((src, dst))
 
-    def is_partitioned(self, src: int, dst: int) -> bool:
-        """Whether the directed path ``src -> dst`` is blocked."""
-        return (src, dst) in self._partitions
-
     # -- introspection for the performance model -------------------------------
 
     def rates_snapshot(self) -> Dict[str, float]:

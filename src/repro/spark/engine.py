@@ -38,8 +38,6 @@ class SparkEngine(BaseEngine):
                  slots_per_machine: Optional[int] = None,
                  flush_writes: bool = False,
                  chunk_bytes: float = 8 * MB,
-                 readahead_depth: int = 2,
-                 fetch_inflight: int = 5,
                  scheduling_policy: str = "fifo",
                  recovery=None,
                  datasvc=None) -> None:
@@ -47,13 +45,9 @@ class SparkEngine(BaseEngine):
             raise ConfigError(f"slots must be >= 1: {slots_per_machine}")
         if chunk_bytes <= 0:
             raise ConfigError(f"chunk bytes must be positive: {chunk_bytes}")
-        if readahead_depth < 1 or fetch_inflight < 1:
-            raise ConfigError("pipeline depths must be >= 1")
         self.slots_per_machine = slots_per_machine
         self.flush_writes = flush_writes
         self.chunk_bytes = chunk_bytes
-        self.readahead_depth = readahead_depth
-        self.fetch_inflight = fetch_inflight
         super().__init__(cluster, cost_model=cost_model, metrics=metrics,
                          scheduling_policy=scheduling_policy,
                          recovery=recovery, datasvc=datasvc)

@@ -28,6 +28,11 @@ from repro.simulator.network import FLOW_LATENCY_S
 
 __all__ = ["SparkTaskRun"]
 
+#: Pieces of a sequential (DFS) input read ahead of the compute loop.
+READAHEAD_DEPTH = 2
+#: Shuffle fetch requests kept outstanding per task.
+FETCH_INFLIGHT = 5
+
 
 class _Unit:
     """One pipelined piece of a task's input.
@@ -168,15 +173,15 @@ class SparkTaskRun:
 
     def _pipeline_depth(self) -> int:
         if isinstance(self.work.descriptor.input, ShuffleInput):
-            return self.engine.fetch_inflight
-        return self.engine.readahead_depth
+            return FETCH_INFLIGHT
+        return READAHEAD_DEPTH
 
     def _feed_units(self, units: List[_Unit], ready: Store) -> Generator:
         """Fetch units in order, ahead of the compute loop.
 
         Sequential sources (DFS blocks) are prefetched strictly in order
         -- real readahead does not seek back and forth within one file.
-        Shuffle fetches keep ``fetch_inflight`` requests outstanding.
+        Shuffle fetches keep :data:`FETCH_INFLIGHT` requests outstanding.
         """
         if isinstance(self.work.descriptor.input, ShuffleInput):
             yield from self._feed_shuffle(units, ready)
@@ -190,7 +195,6 @@ class SparkTaskRun:
             yield ready.put(unit)
 
     def _feed_shuffle(self, units: List[_Unit], ready: Store) -> Generator:
-        inflight = self.engine.fetch_inflight
         active: List = []
         for unit in units:
 
@@ -203,7 +207,7 @@ class SparkTaskRun:
                 yield ready.put(u)
 
             active.append(self.env.process(fetch(unit)))
-            if len(active) >= inflight:
+            if len(active) >= FETCH_INFLIGHT:
                 # Wait for the oldest outstanding fetch before issuing more.
                 finished = active.pop(0)
                 yield finished

@@ -130,10 +130,6 @@ class TelemetryRegistry:
 
     # -- reading -------------------------------------------------------------------
 
-    def metric_names(self) -> List[str]:
-        """Registered metric names, sorted."""
-        return sorted(self._metrics)
-
     def read(self) -> Dict[str, List[Tuple[Labels, float]]]:
         """Current value of every series, by metric name (sorted)."""
         out: Dict[str, List[Tuple[Labels, float]]] = {}

@@ -194,6 +194,23 @@ class TestCommands:
         assert data["traceEvents"]
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--degrade-machine", "7"], "--degrade-machine"),
+        (["serve", "--crash-machine", "9", "--crash-at", "1",
+          "--duration", "20"], "--crash-machine"),
+        (["faults", "--crash-machine", "4"], "--crash-machine"),
+        (["health", "--degrade-machine", "-1"], "--degrade-machine"),
+        (["datasvc", "--crash-machine", "5"], "--crash-machine"),
+        (["obs", "alerts", "--degrade-machine", "4"], "--degrade-machine"),
+    ], ids=["diagnose", "serve", "faults", "health", "datasvc", "obs"])
+    def test_machine_id_out_of_range_exits_two(self, argv, message,
+                                               capsys):
+        # xray record is the seventh flag; the test below covers it.
+        code = main(argv[:1] + ["--machines", "4", "--fraction", "0.01"]
+                    + argv[1:])
+        assert code == 2
+        assert f"{message} must be in [0, 4)" in capsys.readouterr().out
+
     def test_xray_record_rejects_unknown_degrade_machine(self, tmp_path,
                                                          capsys):
         path = tmp_path / "bad.capsule"

@@ -234,8 +234,7 @@ class TestSpeculation:
         cluster = dfs_sort_cluster()
         cluster.degrade_machine(1, cpu_factor=0.05, disk_factor=0.05)
         policy = RecoveryPolicy(speculation=True,
-                                speculation_interval_s=0.05,
-                                speculation_multiplier=1.5)
+                                speculation_interval_s=0.05)
         ctx = AnalyticsContext(cluster, engine=engine, recovery=policy)
         expected = sorted(sort_records(
             AnalyticsContext(dfs_sort_cluster(), engine=engine)))

@@ -305,11 +305,8 @@ def test_engines_agree_under_mixed_plan():
 # ---------------------------------------------------------------------------
 
 class TestBlacklist:
-    POLICY = HealthPolicy(interval_s=5.0, suspicion_threshold=2,
-                          probation_after_s=30.0, probation_ticks=2)
-
     def test_exclude_after_threshold_strikes(self):
-        blacklist = Blacklist(self.POLICY)
+        blacklist = Blacklist()
         assert blacklist.observe(0, suspect=True, fresh=True,
                                  now=5.0) == ["suspect"]
         assert blacklist.state(0) == HEALTHY
@@ -318,7 +315,7 @@ class TestBlacklist:
         assert blacklist.state(0) == EXCLUDED
 
     def test_budget_blocks_exclusion(self):
-        blacklist = Blacklist(self.POLICY)
+        blacklist = Blacklist()
         blacklist.observe(0, suspect=True, fresh=True, now=5.0)
         actions = blacklist.observe(0, suspect=True, fresh=True, now=10.0,
                                     can_exclude=False)
@@ -326,10 +323,10 @@ class TestBlacklist:
         assert blacklist.state(0) == HEALTHY
 
     def test_probation_then_reinstate(self):
-        blacklist = Blacklist(self.POLICY)
+        blacklist = Blacklist()
         blacklist.observe(0, suspect=True, fresh=True, now=5.0)
         blacklist.observe(0, suspect=True, fresh=True, now=10.0)
-        # Before probation_after_s nothing changes.
+        # Before PROBATION_AFTER_S nothing changes.
         assert blacklist.observe(0, suspect=False, fresh=False,
                                  now=20.0) == []
         assert blacklist.observe(0, suspect=False, fresh=False,
@@ -345,7 +342,7 @@ class TestBlacklist:
         assert blacklist.state(0) == HEALTHY
 
     def test_probation_relapse_re_excludes(self):
-        blacklist = Blacklist(self.POLICY)
+        blacklist = Blacklist()
         blacklist.observe(0, suspect=True, fresh=True, now=5.0)
         blacklist.observe(0, suspect=True, fresh=True, now=10.0)
         blacklist.observe(0, suspect=False, fresh=False, now=40.0)
