@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
 from typing import Any, Callable, List, Sequence
 
@@ -80,11 +81,9 @@ class RangePartitioner(Partitioner):
         self.key_fn = key_fn
 
     def partition(self, record: Any) -> int:
-        key = self.key_fn(record)
-        # Linear scan is fine: partition counts are modest and the scan is
-        # over boundaries, not records.  (bisect needs orderable keys only.)
-        import bisect
-        return bisect.bisect_left(self.boundaries, key)
+        # Binary search over the sorted boundaries: the first one that is
+        # >= key bounds the record (keys need only be orderable).
+        return bisect.bisect_left(self.boundaries, self.key_fn(record))
 
     @classmethod
     def from_sample(cls, sample_keys: Sequence[Any], num_partitions: int,

@@ -12,7 +12,7 @@ the engine's business.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.api.ops import PhysicalOp
 from repro.api.partitioners import Partitioner

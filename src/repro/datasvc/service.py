@@ -34,7 +34,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
-from repro.datamodel.records import Partition
 from repro.errors import (ConfigError, FaultError, Interrupted,
                           MachineFailure)
 from repro.metrics.events import (PHASE_DATASVC_DRAIN, PHASE_DATASVC_READ,

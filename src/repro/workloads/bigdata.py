@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.api.context import AnalyticsContext
 from repro.api.ops import OpCost
@@ -117,9 +117,14 @@ def generate_bdb_tables(cluster: Cluster, scale: Optional[BdbScale] = None,
     """Create rankings, uservisits, and documents in the cluster's DFS."""
     scale = scale or BdbScale()
     rng = random.Random(seed)
-    _make_rankings(cluster, scale, rng)
-    _make_uservisits(cluster, scale, rng)
-    _make_documents(cluster, scale, rng)
+    # One string per sample URL id, shared by all three tables: a draw
+    # indexes it instead of formatting a fresh string, so the ~850k
+    # sampled URLs of a full set share 4,096 objects.  Built per call,
+    # so processes that never generate tables do not pay for it.
+    urls = tuple(f"url{url_id}" for url_id in range(SAMPLE_URL_SPACE))
+    _make_rankings(cluster, scale, rng, urls)
+    _make_uservisits(cluster, scale, rng, urls)
+    _make_documents(cluster, scale, rng, urls)
     return scale
 
 
@@ -141,12 +146,12 @@ def _make_table(cluster: Cluster, name: str, scale: BdbScale,
 
 
 def _make_rankings(cluster: Cluster, scale: BdbScale,
-                   rng: random.Random) -> None:
+                   rng: random.Random, urls: Tuple[str, ...]) -> None:
     def record(block_index: int, i: int) -> Tuple[str, Tuple[int, int]]:
         url_id = rng.randrange(SAMPLE_URL_SPACE)
         page_rank = rng.randrange(10000)
         avg_duration = rng.randrange(100)
-        return (f"url{url_id}", (page_rank, avg_duration))
+        return (urls[url_id], (page_rank, avg_duration))
 
     _make_table(cluster, "rankings", scale, scale.rankings_bytes,
                 scale.rankings_rows, record,
@@ -154,11 +159,11 @@ def _make_rankings(cluster: Cluster, scale: BdbScale,
 
 
 def _make_uservisits(cluster: Cluster, scale: BdbScale,
-                     rng: random.Random) -> None:
+                     rng: random.Random, urls: Tuple[str, ...]) -> None:
     def record(block_index: int, i: int):
         ip = (f"{rng.randrange(256)}.{rng.randrange(256)}."
               f"{rng.randrange(256)}.{rng.randrange(256)}")
-        dest = f"url{rng.randrange(SAMPLE_URL_SPACE)}"
+        dest = urls[rng.randrange(SAMPLE_URL_SPACE)]
         visit_date = rng.random()  # normalized [0, 1) date axis
         ad_revenue = rng.random()
         return (ip, (dest, visit_date, ad_revenue))
@@ -168,9 +173,9 @@ def _make_uservisits(cluster: Cluster, scale: BdbScale,
 
 
 def _make_documents(cluster: Cluster, scale: BdbScale,
-                    rng: random.Random) -> None:
+                    rng: random.Random, urls: Tuple[str, ...]) -> None:
     def record(block_index: int, i: int):
-        links = [f"url{rng.randrange(SAMPLE_URL_SPACE)}"
+        links = [urls[rng.randrange(SAMPLE_URL_SPACE)]
                  for _ in range(Q4_LINKS_PER_DOC)]
         return ("doc", links)
 

@@ -30,6 +30,7 @@ byte-identical capsules, which is the property CI pins.
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -78,21 +79,29 @@ def _serve_from_json(line: Dict[str, Any]) -> ServeRecord:
     return ServeRecord(**{field: line[field] for field in _SERVE_FIELDS})
 
 
-def _span_from_json(line: Dict[str, Any]) -> SpanRecord:
+def _span_from_json(line: Dict[str, Any],
+                    strings: Dict[str, str]) -> SpanRecord:
+    share = strings.setdefault
+    trace_id, kind, name = line["trace_id"], line["kind"], line["name"]
+    resource, phase = line.get("resource", ""), line.get("phase", "")
     return SpanRecord(
-        span_id=line["span_id"], trace_id=line["trace_id"],
-        parent_id=line["parent_id"], kind=line["kind"], name=line["name"],
-        start=line["start"], end=line["end"],
-        machine_id=line["machine_id"], resource=line.get("resource", ""),
-        phase=line.get("phase", ""), queue_s=line.get("queue_s", 0.0),
+        span_id=line["span_id"], trace_id=share(trace_id, trace_id),
+        parent_id=line["parent_id"], kind=share(kind, kind),
+        name=share(name, name), start=line["start"], end=line["end"],
+        machine_id=line["machine_id"], resource=share(resource, resource),
+        phase=share(phase, phase), queue_s=line.get("queue_s", 0.0),
         nbytes=line.get("nbytes", 0.0), attrs=dict(line.get("attrs", {})))
 
 
-def _link_from_json(line: Dict[str, Any]) -> SpanLink:
+def _link_from_json(line: Dict[str, Any],
+                    strings: Dict[str, str]) -> SpanLink:
+    share = strings.setdefault
+    kind, trace_id = line["kind"], line["trace_id"]
+    detail = line.get("detail", "")
     return SpanLink(
         from_span_id=line["from"], to_span_id=line["to"],
-        kind=line["kind"], trace_id=line["trace_id"],
-        at=line.get("at", float("nan")), detail=line.get("detail", ""))
+        kind=share(kind, kind), trace_id=share(trace_id, trace_id),
+        at=line.get("at", float("nan")), detail=share(detail, detail))
 
 
 def _job_to_json(record: JobRecord) -> Dict[str, Any]:
@@ -282,21 +291,35 @@ class Capsule(MetricsCollector):
         unknown schema version, a missing header or manifest, or
         manifest counts or a manifest line total that disagree with the
         lines actually present.
+
+        Parsing allocates many objects and drops no cycles, so the
+        cyclic collector is paused for the duration (and left as found,
+        like :meth:`~repro.simulator.core.Environment.run`).  Each
+        distinct span or link string value -- trace ids, kinds, names,
+        resources, phases, details -- becomes one shared object, through
+        a dict that lives only for this call.
         """
         capsule = cls()
         capsule.path = path
         counts: Dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for index, raw in enumerate(handle):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except ValueError as exc:
-                    raise CapsuleError(
-                        f"{path}:{index + 1}: not JSON: {exc}") from exc
-                capsule._ingest(path, index, line, counts)
+        strings: Dict[str, str] = {}
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for index, raw in enumerate(handle):
+                    raw = raw.strip()
+                    if not raw:
+                        continue
+                    try:
+                        line = json.loads(raw)
+                    except ValueError as exc:
+                        raise CapsuleError(
+                            f"{path}:{index + 1}: not JSON: {exc}") from exc
+                    capsule._ingest(path, index, line, counts, strings)
+        finally:
+            if collecting:
+                gc.enable()
         if not capsule.header:
             raise CapsuleError(f"{path}: missing capsule header line")
         if not capsule.manifest:
@@ -316,7 +339,7 @@ class Capsule(MetricsCollector):
         return capsule
 
     def _ingest(self, path: str, index: int, line: Dict[str, Any],
-                counts: Dict[str, int]) -> None:
+                counts: Dict[str, int], strings: Dict[str, str]) -> None:
         schema = line.get("schema")
         if schema not in KNOWN_SCHEMAS:
             raise CapsuleError(
@@ -337,11 +360,11 @@ class Capsule(MetricsCollector):
             self.manifest = line
             return
         if kind == "span":
-            span = _span_from_json(line)
+            span = _span_from_json(line, strings)
             self.record_span(span)
             self._body.append(("span", span))
         elif kind == "link":
-            link = _link_from_json(line)
+            link = _link_from_json(line, strings)
             self.record_link(link)
             self._body.append(("link", link))
         elif kind == "serve":

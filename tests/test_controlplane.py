@@ -151,12 +151,11 @@ class TestCheckpointCodec:
 # ---------------------------------------------------------------------------
 
 def make_plane(num_drivers=2, tenants=4, rate=0.5, horizon=30.0,
-               failover=True, seed=2, **policy_kwargs):
+               failover=True, seed=2):
     cluster = hdd_cluster(num_machines=4, seed=seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
     policy = ControlPlanePolicy(control_service_s=0.05,
-                                checkpoint=failover, failover=failover,
-                                **policy_kwargs)
+                                checkpoint=failover, failover=failover)
     plane = ControlPlane(ctx, num_drivers=num_drivers, config=policy,
                          seed=seed)
     template = wordcount_template(ctx, num_blocks=2, block_mb=4.0)

@@ -1,13 +1,16 @@
 """Tests for the paper's workloads: generation, correctness, structure."""
 
+import hashlib
+
 import pytest
 
 from repro.api import AnalyticsContext
 from repro.cluster import hdd_cluster, ssd_cluster
 from repro.config import GB, MB
 from repro.errors import ConfigError
-from repro.workloads.bigdata import (BdbScale, QUERIES, generate_bdb_tables,
-                                     run_query)
+from repro.serve.workload import bdb_template
+from repro.workloads.bigdata import (BdbScale, QUERIES, SAMPLE_URL_SPACE,
+                                     generate_bdb_tables, run_query)
 from repro.workloads.ml import MlWorkload, make_ml_context, run_ml_iteration
 from repro.workloads.scaling import scaled_memory_overrides
 from repro.workloads.sortgen import (SortWorkload, generate_sort_input,
@@ -141,6 +144,70 @@ class TestBigDataBenchmark:
         ctx = self.make_ctx(engine="spark")
         result = run_query(ctx, "1b", self.scale)
         assert result.duration > 0
+
+
+BDB_TABLES = ("rankings", "uservisits", "documents")
+
+#: sha256 of :func:`bdb_table_fingerprint` for :data:`SMALL_BDB_SCALE`.
+GOLDEN_SMALL_BDB_SHA256 = (
+    "c0ecf5c1aa8ff589838ce4e28c1a4190ecd0667f0b358e1767ff5910a2c526e2")
+#: sha256 of :func:`bdb_table_fingerprint` for the tables that
+#: ``bdb_template(ctx, "1a")`` generates (the tenants-chaos scale).
+GOLDEN_TEMPLATE_BDB_SHA256 = (
+    "302818715a1153a130b572512f0996296a81a1421505a6b11b373c1a86f8d793")
+
+#: Few blocks and few sample records: every table in a few hundred rows.
+SMALL_BDB_SCALE = BdbScale(fraction=0.01, block_bytes=8 * GB,
+                           rankings_block_bytes=GB,
+                           sample_records_per_block=6)
+
+
+def bdb_table_fingerprint(cluster) -> str:
+    """sha256 over the ``repr`` of every sample record of the BDB tables.
+
+    Floats enter through ``repr`` (shortest round-trip), so the hash is
+    the same on every supported interpreter.
+    """
+    rows = [(name, block.index, block.payload.records)
+            for name in BDB_TABLES
+            for block in cluster.dfs.get_file(name).blocks]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def url_fields(cluster):
+    """Every URL string of the three tables: rankings key, uservisits
+    ``destURL`` and the documents' links."""
+    dfs = cluster.dfs
+    for block in dfs.get_file("rankings").blocks:
+        for url, _ in block.payload.records:
+            yield url
+    for block in dfs.get_file("uservisits").blocks:
+        for _, (dest, _, _) in block.payload.records:
+            yield dest
+    for block in dfs.get_file("documents").blocks:
+        for _, links in block.payload.records:
+            yield from links
+
+
+class TestBdbTableGoldens:
+    """The generated sample tables, pinned value for value."""
+
+    def test_small_scale_tables(self):
+        cluster = hdd_cluster(num_machines=2)
+        generate_bdb_tables(cluster, SMALL_BDB_SCALE, seed=0)
+        assert bdb_table_fingerprint(cluster) == GOLDEN_SMALL_BDB_SHA256
+
+    def test_serving_template_tables(self):
+        ctx = AnalyticsContext(hdd_cluster(num_machines=2))
+        bdb_template(ctx, "1a")
+        assert bdb_table_fingerprint(ctx.cluster) == GOLDEN_TEMPLATE_BDB_SHA256
+
+    def test_url_fields_share_one_string_per_url(self):
+        ctx = AnalyticsContext(hdd_cluster(num_machines=2))
+        bdb_template(ctx, "1a")
+        urls = list(url_fields(ctx.cluster))
+        assert len(urls) > 100 * SAMPLE_URL_SPACE
+        assert len({id(url) for url in urls}) <= SAMPLE_URL_SPACE
 
 
 class TestMlWorkload:

@@ -6,12 +6,14 @@ pair (and their Spark twins) are simulated once and shared by the
 round-trip, query, diff, and golden-blame tests.
 """
 
+import gc
 import importlib.util
 import json
 import os
 
 import pytest
 
+import repro.xray.capsule as capsule_module
 from repro.errors import CapsuleError
 from repro.xray import (CAPSULE_SCHEMA, CanonicalRun, Capsule, CapsuleQuery,
                         align_jobs, diff_capsules, record_run)
@@ -152,6 +154,83 @@ class TestCapsuleValidation:
         path.write_text('{"traceEvents": []}\n')
         with pytest.raises(CapsuleError):
             Capsule.load(str(path))
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def corrupt_copy(capsule, tmp_path):
+    """The capsule with a line in the middle of its body made non-JSON,
+    so :meth:`Capsule.load` raises while parsing."""
+    with open(capsule.path) as handle:
+        lines = handle.read().splitlines()
+    lines[len(lines) // 2] = "{not json"
+    path = tmp_path / "corrupt.capsule"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestCapsuleLoadMemory:
+    """``Capsule.load`` pauses the cyclic collector and shares repeated
+    span and link strings, without changing what it parses."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_pauses_collector_and_restores_it(
+            self, monkeypatch, collector, clean, enabled):
+        seen = []
+        parse = capsule_module._span_from_json
+
+        def spy(line, strings):
+            seen.append(gc.isenabled())
+            return parse(line, strings)
+
+        monkeypatch.setattr(capsule_module, "_span_from_json", spy)
+        (gc.enable if enabled else gc.disable)()
+        Capsule.load(clean.path)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_load_restores_collector(self, tmp_path, collector, clean,
+                                            enabled):
+        path = corrupt_copy(clean, tmp_path)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(CapsuleError, match="not JSON"):
+            Capsule.load(path)
+        assert gc.isenabled() is enabled
+
+    def test_load_leaves_no_cyclic_garbage(self, collector, clean):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            loaded = Capsule.load(clean.path)
+            assert loaded.spans
+            del loaded
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+        assert garbage == []
+
+    def test_spans_of_one_trace_share_one_trace_id(self, clean):
+        loaded = Capsule.load(clean.path)
+        first, second = loaded.spans_for_job(sorted(loaded.jobs)[0])[:2]
+        assert first.trace_id is second.trace_id
+        for field in ("trace_id", "kind", "name", "resource", "phase"):
+            values = [getattr(span, field) for span in loaded.spans]
+            assert len({id(v) for v in values}) == len(set(values)), field
+        details = [link.detail for link in loaded.links]
+        assert len({id(v) for v in details}) == len(set(details))
 
 
 class TestQuery:
