@@ -39,8 +39,7 @@ def summarize(engine, ctx, result):
     links = metrics.links_for_job(job_id)
     events = trace_events(metrics, job_id=job_id)
     report = critical_path(metrics, job_id, engine=engine)
-    records = (len(metrics.monotasks) + len(metrics.tasks)
-               + len(metrics.attempts) + len(metrics.transfers)
+    records = (len(metrics.monotasks) + len(metrics.attempts) + len(metrics.transfers)
                + len(metrics.stages) + len(metrics.jobs))
     if report.attributable:
         top = sorted(report.fractions().items(),

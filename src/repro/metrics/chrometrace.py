@@ -2,8 +2,8 @@
 
 Writes the Trace Event Format JSON consumed by ``chrome://tracing`` and
 https://ui.perfetto.dev: one process per machine, one track per resource
-unit, one complete event per monotask (Spark-engine runs export their
-per-task windows instead, which is all that engine can know).  On top of
+unit, one complete event per monotask, plus a ``tasks`` track with
+each task attempt's window (all a Spark-engine run can know).  On top of
 the slices, the export carries the causal structure:
 
 * *flow events* (``ph: s/f``) arc from each shuffle producer's network
@@ -35,6 +35,7 @@ from repro.errors import ModelError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import (CPU, DISK, NETWORK, AlertEventRecord,
                                   DriverEventRecord)
+from repro.trace.spans import SPAN_ATTEMPT
 
 __all__ = ["trace_events", "write_chrome_trace", "WriteResult",
            "DRIVER_PID"]
@@ -106,14 +107,18 @@ def trace_events(metrics: MetricsCollector,
             {"bytes": record.nbytes, "queue_s": record.queue_s,
              "deserialize_s": record.deserialize_s, "op_s": record.op_s,
              "serialize_s": record.serialize_s})
-    for task in metrics.tasks:
-        if job_id is not None and task.job_id != job_id:
+    spans = (metrics.spans if job_id is None
+             else metrics.spans_for_job(job_id))
+    for span in spans:
+        if span.kind != SPAN_ATTEMPT:
             continue
-        if task.end != task.end:  # NaN: still running when collected
+        if span.end != span.end:  # NaN: still running when collected
             continue
-        add(task.machine_id, "tasks",
-            f"task j{task.job_id}s{task.stage_id}t{task.task_index}",
-            task.start, task.end, {})
+        attrs = span.attrs
+        add(span.machine_id, "tasks",
+            f"task j{attrs['job_id']}s{attrs['stage_id']}"
+            f"t{attrs['task_index']}",
+            span.start, span.end, {})
     if not events:
         raise ModelError(f"nothing to trace for job {job_id}")
 

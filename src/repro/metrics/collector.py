@@ -21,7 +21,7 @@ from repro.errors import ModelError, SimulationError
 from repro.metrics.events import (CPU, DISK, NETWORK, Event, JobRecord,
                                   MonotaskRecord, ResourceUsageRecord,
                                   ServeRecord, SpeculationRecord,
-                                  StageRecord, TaskAttemptRecord, TaskRecord,
+                                  StageRecord, TaskAttemptRecord,
                                   TransferRecord)
 from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                LINK_REDISPATCH, LINK_RETRY,
@@ -36,12 +36,11 @@ EventT = TypeVar("EventT", bound=Event)
 
 
 class MetricsCollector:
-    """Accumulates monotask/task/stage/job records for one engine run."""
+    """Accumulates monotask/attempt/stage/job records for one engine run."""
 
     def __init__(self) -> None:
         self.monotasks: List[MonotaskRecord] = []
         self.resource_usage: List[ResourceUsageRecord] = []
-        self.tasks: List[TaskRecord] = []
         self.attempts: List[TaskAttemptRecord] = []
         #: Every incident record (faults, health decisions, driver
         #: events, alert transitions), in arrival order.
@@ -65,7 +64,6 @@ class MetricsCollector:
         self._spans_by_trace: Dict[str, List[SpanRecord]] = {}
         self._links_by_trace: Dict[str, List[SpanLink]] = {}
         self._monotasks_by_job: Dict[int, List[MonotaskRecord]] = {}
-        self._tasks_by_stage: Dict[Tuple[int, int], List[TaskRecord]] = {}
         self._usage_by_stage: Dict[Tuple[int, int],
                                    List[ResourceUsageRecord]] = {}
         self._attempts_by_job: Dict[int, List[TaskAttemptRecord]] = {}
@@ -105,7 +103,8 @@ class MetricsCollector:
         return next(self._span_ids)
 
     def add_span_sink(self, sink) -> None:
-        """Stream closed spans and links to ``sink`` (a run recorder)."""
+        """Stream closed spans and links to ``sink`` (a run recorder, or
+        the Spark health estimator)."""
         self._sinks.append(sink)
 
     def record_span(self, span: SpanRecord) -> None:
@@ -225,15 +224,6 @@ class MetricsCollector:
         """Append one served (or shed) job request."""
         self.serves.append(record)
         self._notify(record)
-
-    def task_started(self, job_id: int, stage_id: int, task_index: int,
-                     machine_id: int, now: float) -> TaskRecord:
-        """Open a task record; the caller fills in ``end`` later."""
-        record = TaskRecord(job_id, stage_id, task_index, machine_id,
-                            start=now)
-        self.tasks.append(record)
-        self._tasks_by_stage.setdefault((job_id, stage_id), []).append(record)
-        return record
 
     def stage_started(self, job_id: int, stage_id: int, name: str,
                       num_tasks: int, now: float,
@@ -448,10 +438,6 @@ class MetricsCollector:
         """Total network-monotask bytes."""
         return sum(m.nbytes for m in self.stage_monotasks(job_id, stage_id)
                    if m.resource == NETWORK)
-
-    def tasks_for_stage(self, job_id: int, stage_id: int) -> List[TaskRecord]:
-        """Task records of one stage."""
-        return list(self._tasks_by_stage.get((job_id, stage_id), ()))
 
     def usage_for_stage(self, job_id: int,
                         stage_id: int) -> List[ResourceUsageRecord]:

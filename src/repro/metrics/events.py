@@ -23,7 +23,6 @@ from typing import ClassVar, FrozenSet, Optional
 __all__ = [
     "MonotaskRecord",
     "ResourceUsageRecord",
-    "TaskRecord",
     "StageRecord",
     "JobRecord",
     "TaskAttemptRecord",
@@ -125,21 +124,6 @@ class ResourceUsageRecord:
     network_bytes: float = 0.0
     deserialize_s: float = 0.0
     serialize_s: float = 0.0
-
-
-@dataclass
-class TaskRecord:
-    job_id: int
-    stage_id: int
-    task_index: int
-    machine_id: int
-    start: float
-    end: float = float("nan")
-
-    @property
-    def duration(self) -> float:
-        """Task wall-clock seconds."""
-        return self.end - self.start
 
 
 @dataclass

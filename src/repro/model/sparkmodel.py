@@ -159,12 +159,13 @@ def slot_share_stage_usage(metrics: MetricsCollector, cluster: Cluster,
         machine_id = machine.machine_id
         stage_slot_s = 0.0
         total_slot_s = 0.0
-        for task in metrics.tasks:
-            if task.machine_id != machine_id:
+        for attempt in metrics.attempts:
+            if attempt.machine_id != machine_id:
                 continue
-            slot_s = _overlap(task.start, task.end, window_start, window_end)
+            slot_s = _overlap(attempt.start, attempt.end, window_start,
+                              window_end)
             total_slot_s += slot_s
-            if task.job_id == job_id and task.stage_id == stage_id:
+            if attempt.job_id == job_id and attempt.stage_id == stage_id:
                 stage_slot_s += slot_s
         if total_slot_s <= 0 or stage_slot_s <= 0:
             continue

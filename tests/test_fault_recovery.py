@@ -170,7 +170,6 @@ class TestCrashRecovery:
 def fault_trace(metrics):
     """The fault-relevant event streams, serialized byte-stably."""
     return json.dumps({
-        "tasks": [dataclasses.astuple(r) for r in metrics.tasks],
         "attempts": [dataclasses.astuple(r) for r in metrics.attempts],
         "faults": [dataclasses.astuple(r)
                    for r in metrics.events_of(FaultEventRecord)],

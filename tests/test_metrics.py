@@ -52,14 +52,6 @@ class TestMetricsCollector:
         assert record.duration == 3.0
         assert not record.is_input_read
 
-    def test_tasks_for_stage(self):
-        collector = MetricsCollector()
-        record = collector.task_started(0, 1, 3, machine_id=2, now=1.0)
-        record.end = 4.0
-        found = collector.tasks_for_stage(0, 1)
-        assert len(found) == 1
-        assert found[0].duration == 3.0
-
 
 class TestUtilizationHelpers:
     def test_sample_utilization_windows(self):

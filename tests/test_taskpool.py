@@ -7,18 +7,19 @@ from repro.cluster import hdd_cluster
 from repro.datamodel import Partition
 from repro.engine.base import TaskPool
 from repro.errors import ExecutionError
+from repro.metrics import MetricsCollector
 
 
 def make_pool(cluster, concurrency, policy="fifo", task_time=1.0):
     placements = []
 
-    def run_task(task, machine):
+    def run_task(task, machine, trace):
         placements.append((task.task_id, machine.machine_id))
         yield cluster.env.timeout(task_time)
 
     pool = TaskPool(cluster.env, cluster.machines,
                     {m.machine_id: concurrency for m in cluster.machines},
-                    run_task, policy=policy)
+                    run_task, MetricsCollector(), policy=policy)
     return pool, placements
 
 
