@@ -127,7 +127,7 @@ class ControlPlane(JobServer):
         # re-bank compute-flow shares (float-exact timing either way).
         self.store: Optional[CheckpointStore] = None
         self._driver_fabric: Dict[int, int] = {}
-        if self.policy.checkpoint:
+        if self.policy.failover:
             self.cp_network = Network(self.env)
             service = DataService(
                 ctx.cluster, num_nodes=CHECKPOINT_NODES,
@@ -264,6 +264,8 @@ class ControlPlane(JobServer):
     def _sweep(self):
         while True:
             yield self.env.timeout(CHECKPOINT_INTERVAL_S)
+            if self.drained:
+                return
             for driver in self.drivers:
                 if driver.down or driver.partitioned:
                     continue
@@ -284,6 +286,8 @@ class ControlPlane(JobServer):
     def _membership(self):
         while True:
             yield self.env.timeout(HEARTBEAT_INTERVAL_S)
+            if self.drained:
+                return
             now = self.env.now
             for d in self.drivers:
                 if d.down:

@@ -244,7 +244,7 @@ class JobServer:
         its ``done`` event fires with the :class:`JobResult` on
         completion (or with ``None`` if the request was shed or lost).
         """
-        if self._ran and self._all_done is None:
+        if self.drained:
             raise SimulationError(
                 f"{type(self).__name__}.run() has returned: no request "
                 f"submitted now would be served")
@@ -356,6 +356,12 @@ class JobServer:
         request.done.succeed(None)
         self._outstanding -= 1
         self._maybe_finish()
+
+    @property
+    def drained(self) -> bool:
+        """Whether :meth:`run` has returned: every request is accounted
+        for and none submitted now would be served."""
+        return self._ran and self._all_done is None
 
     def _maybe_finish(self) -> None:
         if (self._open_sources == 0 and self._outstanding == 0

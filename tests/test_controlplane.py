@@ -91,7 +91,7 @@ class TestHashRing:
 class TestControlPlanePolicy:
     def test_defaults_valid(self):
         policy = ControlPlanePolicy()
-        assert policy.checkpoint and policy.failover
+        assert policy.failover
 
     @pytest.mark.parametrize("kwargs", [
         {"control_service_s": -0.1},
@@ -154,8 +154,7 @@ def make_plane(num_drivers=2, tenants=4, rate=0.5, horizon=30.0,
                failover=True, seed=2):
     cluster = hdd_cluster(num_machines=4, seed=seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
-    policy = ControlPlanePolicy(control_service_s=0.05,
-                                checkpoint=failover, failover=failover)
+    policy = ControlPlanePolicy(control_service_s=0.05, failover=failover)
     plane = ControlPlane(ctx, num_drivers=num_drivers, config=policy,
                          seed=seed)
     template = wordcount_template(ctx, num_blocks=2, block_mb=4.0)
@@ -314,6 +313,15 @@ class TestReport:
         plane.run()
         with pytest.raises(SimulationError):
             plane.submit(template, tenant="tenant0")
+
+    def test_timers_exit_after_drain(self):
+        # Membership and the checkpoint sweep stop at their first wake
+        # after run() returns, so a later env.run() drains the queue.
+        ctx, plane = make_plane(num_drivers=2, tenants=2, horizon=10.0)
+        plane.run()
+        env = ctx.engine.env
+        env.run(until=env.now + 100.0)
+        assert env.queue_size == 0
 
     def test_num_drivers_validated(self):
         cluster = hdd_cluster(num_machines=2, seed=0)
