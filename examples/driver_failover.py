@@ -31,8 +31,7 @@ HORIZON_S = 40.0
 def run(failover):
     cluster = hdd_cluster(num_machines=4, seed=2)
     ctx = AnalyticsContext(cluster, engine="monospark")
-    policy = ControlPlanePolicy(control_service_s=0.05,
-                                checkpoint=failover, failover=failover)
+    policy = ControlPlanePolicy(control_service_s=0.05, failover=failover)
     plane = ControlPlane(ctx, num_drivers=NUM_DRIVERS, config=policy,
                          seed=2)
     template = wordcount_template(ctx, num_blocks=2, block_mb=4.0)

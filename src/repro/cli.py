@@ -833,7 +833,6 @@ def _cmd_controlplane(args) -> int:
     cluster = _make_cluster(args)
     ctx = AnalyticsContext(cluster, engine=args.engine)
     policy = ControlPlanePolicy(control_service_s=args.control_service,
-                                checkpoint=not args.no_failover,
                                 failover=not args.no_failover)
     plane = ControlPlane(ctx, num_drivers=args.drivers, config=policy,
                          seed=args.seed)

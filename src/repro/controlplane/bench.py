@@ -77,8 +77,7 @@ def _plane(workload: ControlPlaneWorkload, num_drivers: int,
                           num_disks=workload.disks, seed=workload.seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
     policy = ControlPlanePolicy(
-        control_service_s=workload.control_service_s,
-        checkpoint=failover, failover=failover)
+        control_service_s=workload.control_service_s, failover=failover)
     plane = ControlPlane(ctx, num_drivers=num_drivers, config=policy,
                          seed=workload.seed)
     template = wordcount_template(ctx, num_blocks=num_blocks,

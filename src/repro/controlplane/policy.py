@@ -23,9 +23,10 @@ class ControlPlanePolicy:
     * ``control_service_s`` -- seconds of sequential driver work each
       dispatch costs; this serialization is exactly what sharding
       tenants across replicas parallelizes.
-    * ``checkpoint`` / ``failover`` -- feature gates: with
-      ``checkpoint=False`` a dead driver's requests are lost; with
-      ``failover=False`` nobody adopts them at all.
+    * ``failover`` -- feature gate: with ``failover=True`` every
+      replica checkpoints its shard and the leader adopts a dead
+      driver's tenants from those checkpoints; with ``failover=False``
+      nothing is checkpointed and a dead driver's requests are lost.
 
     The heartbeat interval and timeout, the checkpoint sweep interval
     and the checkpoint store's size are fixed constants in
@@ -34,7 +35,6 @@ class ControlPlanePolicy:
     """
 
     control_service_s: float = 0.005
-    checkpoint: bool = True
     failover: bool = True
 
     def __post_init__(self) -> None:

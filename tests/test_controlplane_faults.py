@@ -25,8 +25,7 @@ def run_plane(plan, num_drivers=2, tenants=4, horizon=30.0,
               seed=2 + SEED_OFFSET, failover=True):
     cluster = hdd_cluster(num_machines=4, seed=seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
-    policy = ControlPlanePolicy(control_service_s=0.05,
-                                checkpoint=failover, failover=failover)
+    policy = ControlPlanePolicy(control_service_s=0.05, failover=failover)
     plane = ControlPlane(ctx, num_drivers=num_drivers, config=policy,
                          seed=seed)
     template = wordcount_template(ctx, num_blocks=2, block_mb=4.0)
