@@ -106,7 +106,7 @@ class MonotaskRecord:
         return self.phase == PHASE_INPUT_READ
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceUsageRecord:
     """Ground-truth resource consumption of one Spark-engine task.
 
@@ -126,7 +126,7 @@ class ResourceUsageRecord:
     serialize_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskAttemptRecord:
     """One attempt at running a task: the unit of retry and speculation.
 
@@ -236,7 +236,7 @@ class FaultEventRecord(Event):
         return "info" if self.kind.endswith("-skipped") else "warning"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     """One per-source-machine shuffle/DFS response flow, measured at the
     receiver.

@@ -30,7 +30,7 @@ from repro.config import GB, MB
 from repro.errors import ConfigError, PlanError
 from repro.workloads.bigdata import (BdbScale, Q1_SELECTIVITY,
                                      RANKINGS_FILTER_COST,
-                                     generate_bdb_tables)
+                                     generate_rankings)
 from repro.workloads.sortgen import (PARTITION_S_PER_RECORD,
                                      SORT_S_PER_RECORD, SortWorkload,
                                      generate_sort_input, sort_boundaries)
@@ -292,7 +292,12 @@ def bdb_template(ctx: AnalyticsContext, query: str = "1a",
 
     Only the scan-filter queries (1a/1b/1c) are offered as templates:
     they are the benchmark's interactive tier, and their single-stage
-    shape keeps serving requests short.
+    shape keeps serving requests short.  They read only ``rankings``,
+    so only that table is generated (:func:`generate_rankings`, the
+    same records :func:`generate_bdb_tables` makes).  The DFS placement
+    cursor advances once per block, so a file created after this call
+    on the same cluster is placed differently than after the full
+    three-table set.
     """
     if query not in Q1_SELECTIVITY:
         raise ConfigError(
@@ -301,7 +306,7 @@ def bdb_template(ctx: AnalyticsContext, query: str = "1a",
     name = name or f"bdb{query}"
     scale = BdbScale(fraction=fraction)
     if not ctx.cluster.dfs.exists("rankings"):
-        generate_bdb_tables(ctx.cluster, scale, seed=seed)
+        generate_rankings(ctx.cluster, scale, seed=seed)
     selectivity = Q1_SELECTIVITY[query]
     cutoff = int(10000 * (1 - selectivity))
 

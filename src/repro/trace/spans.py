@@ -132,7 +132,7 @@ class SpanRecord:
         return self.end == self.end  # not NaN
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanLink:
     """A causal edge between two spans that the tree cannot express."""
 

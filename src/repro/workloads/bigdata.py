@@ -38,8 +38,8 @@ from repro.datamodel.serialization import COMPRESSED, DataFormat
 from repro.engine.base import JobResult
 from repro.errors import ConfigError
 
-__all__ = ["BdbScale", "QUERIES", "generate_bdb_tables", "run_query",
-           "query_names"]
+__all__ = ["BdbScale", "QUERIES", "generate_bdb_tables", "generate_rankings",
+           "run_query", "query_names"]
 
 #: All query variants, in the paper's Figure 5 order.
 QUERIES = ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "3c", "4")
@@ -117,15 +117,34 @@ def generate_bdb_tables(cluster: Cluster, scale: Optional[BdbScale] = None,
     """Create rankings, uservisits, and documents in the cluster's DFS."""
     scale = scale or BdbScale()
     rng = random.Random(seed)
-    # One string per sample URL id, shared by all three tables: a draw
-    # indexes it instead of formatting a fresh string, so the ~850k
-    # sampled URLs of a full set share 4,096 objects.  Built per call,
-    # so processes that never generate tables do not pay for it.
-    urls = tuple(f"url{url_id}" for url_id in range(SAMPLE_URL_SPACE))
+    urls = _sample_urls()
     _make_rankings(cluster, scale, rng, urls)
     _make_uservisits(cluster, scale, rng, urls)
     _make_documents(cluster, scale, rng, urls)
     return scale
+
+
+def generate_rankings(cluster: Cluster, scale: Optional[BdbScale] = None,
+                      seed: int = 0) -> BdbScale:
+    """Create only the rankings table, for runs that never read the others.
+
+    Rankings is the first table :func:`generate_bdb_tables` draws from a
+    fresh ``random.Random(seed)``, so its records are the same here,
+    value for value.
+    """
+    scale = scale or BdbScale()
+    _make_rankings(cluster, scale, random.Random(seed), _sample_urls())
+    return scale
+
+
+def _sample_urls() -> Tuple[str, ...]:
+    """One string per sample URL id, shared by all three tables.
+
+    A draw indexes it instead of formatting a fresh string, so the ~850k
+    sampled URLs of a full set share 4,096 objects.  Built per call, so
+    processes that never generate tables do not pay for it.
+    """
+    return tuple(f"url{url_id}" for url_id in range(SAMPLE_URL_SPACE))
 
 
 def _make_table(cluster: Cluster, name: str, scale: BdbScale,

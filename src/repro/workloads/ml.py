@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.api.context import AnalyticsContext
 from repro.api.ops import OpCost
 from repro.cluster.cluster import Cluster
@@ -81,6 +79,11 @@ def make_ml_context(cluster: Cluster, engine: str,
                     workload: Optional[MlWorkload] = None,
                     seed: int = 0, **engine_options) -> AnalyticsContext:
     """Context with in-memory shuffle plus the cached input matrix."""
+    # numpy is imported here, not at module level: ``repro.workloads``
+    # (and so ``repro.serve``) imports this module, and nothing else
+    # there needs numpy.
+    import numpy as np
+
     workload = workload or MlWorkload()
     ctx = AnalyticsContext(cluster, engine=engine, shuffle_in_memory=True,
                            **engine_options)

@@ -151,10 +151,16 @@ BDB_TABLES = ("rankings", "uservisits", "documents")
 #: sha256 of :func:`bdb_table_fingerprint` for :data:`SMALL_BDB_SCALE`.
 GOLDEN_SMALL_BDB_SHA256 = (
     "c0ecf5c1aa8ff589838ce4e28c1a4190ecd0667f0b358e1767ff5910a2c526e2")
-#: sha256 of :func:`bdb_table_fingerprint` for the tables that
-#: ``bdb_template(ctx, "1a")`` generates (the tenants-chaos scale).
+#: sha256 of :func:`bdb_table_fingerprint` for the three tables at the
+#: scale ``bdb_template`` uses (the tenants-chaos scale).
 GOLDEN_TEMPLATE_BDB_SHA256 = (
     "302818715a1153a130b572512f0996296a81a1421505a6b11b373c1a86f8d793")
+#: sha256 of :func:`bdb_table_fingerprint` over ``rankings`` alone at
+#: that scale: the one table ``bdb_template(ctx, "1a")`` generates.
+GOLDEN_TEMPLATE_RANKINGS_SHA256 = (
+    "35cc4bf21b3388c6463a2e5834b95929ce3e87b7b3ebdbb2c91cba1bca30b089")
+#: The scale ``bdb_template`` generates at by default.
+TEMPLATE_BDB_SCALE = BdbScale(fraction=0.002)
 
 #: Few blocks and few sample records: every table in a few hundred rows.
 SMALL_BDB_SCALE = BdbScale(fraction=0.01, block_bytes=8 * GB,
@@ -162,14 +168,14 @@ SMALL_BDB_SCALE = BdbScale(fraction=0.01, block_bytes=8 * GB,
                            sample_records_per_block=6)
 
 
-def bdb_table_fingerprint(cluster) -> str:
-    """sha256 over the ``repr`` of every sample record of the BDB tables.
+def bdb_table_fingerprint(cluster, tables=BDB_TABLES) -> str:
+    """sha256 over the ``repr`` of every sample record of ``tables``.
 
     Floats enter through ``repr`` (shortest round-trip), so the hash is
     the same on every supported interpreter.
     """
     rows = [(name, block.index, block.payload.records)
-            for name in BDB_TABLES
+            for name in tables
             for block in cluster.dfs.get_file(name).blocks]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
@@ -189,6 +195,14 @@ def url_fields(cluster):
             yield from links
 
 
+@pytest.fixture(scope="module")
+def template_scale_cluster():
+    """A cluster holding all three tables at the template's scale."""
+    cluster = hdd_cluster(num_machines=2)
+    generate_bdb_tables(cluster, TEMPLATE_BDB_SCALE, seed=0)
+    return cluster
+
+
 class TestBdbTableGoldens:
     """The generated sample tables, pinned value for value."""
 
@@ -197,15 +211,24 @@ class TestBdbTableGoldens:
         generate_bdb_tables(cluster, SMALL_BDB_SCALE, seed=0)
         assert bdb_table_fingerprint(cluster) == GOLDEN_SMALL_BDB_SHA256
 
+    def test_template_scale_tables(self, template_scale_cluster):
+        cluster = template_scale_cluster
+        assert bdb_table_fingerprint(cluster) == GOLDEN_TEMPLATE_BDB_SHA256
+        assert (bdb_table_fingerprint(cluster, ("rankings",))
+                == GOLDEN_TEMPLATE_RANKINGS_SHA256)
+
     def test_serving_template_tables(self):
         ctx = AnalyticsContext(hdd_cluster(num_machines=2))
         bdb_template(ctx, "1a")
-        assert bdb_table_fingerprint(ctx.cluster) == GOLDEN_TEMPLATE_BDB_SHA256
+        dfs = ctx.cluster.dfs
+        assert [name for name in BDB_TABLES if dfs.exists(name)] == [
+            "rankings"]
+        assert (bdb_table_fingerprint(ctx.cluster, ("rankings",))
+                == GOLDEN_TEMPLATE_RANKINGS_SHA256)
 
-    def test_url_fields_share_one_string_per_url(self):
-        ctx = AnalyticsContext(hdd_cluster(num_machines=2))
-        bdb_template(ctx, "1a")
-        urls = list(url_fields(ctx.cluster))
+    def test_url_fields_share_one_string_per_url(self,
+                                                 template_scale_cluster):
+        urls = list(url_fields(template_scale_cluster))
         assert len(urls) > 100 * SAMPLE_URL_SPACE
         assert len({id(url) for url in urls}) <= SAMPLE_URL_SPACE
 
@@ -251,6 +274,35 @@ class TestMlWorkload:
     def test_invalid_workload(self):
         with pytest.raises(ConfigError):
             MlWorkload(rows=0)
+
+
+#: Every package the host benchmark imports; none of them needs numpy.
+NUMPY_FREE_MODULES = ("repro", "repro.clarity", "repro.controlplane",
+                      "repro.datasvc", "repro.faults", "repro.health",
+                      "repro.metrics", "repro.obs", "repro.serve",
+                      "repro.trace", "repro.workloads",
+                      "repro.workloads.scaling", "repro.xray")
+
+
+def test_import_path_loads_no_numpy():
+    # Only make_ml_context uses numpy, so it imports it on call.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib, sys\n"
+         f"for name in {NUMPY_FREE_MODULES!r}:\n"
+         "    importlib.import_module(name)\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.split('.')[0] == 'numpy'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestScaling:

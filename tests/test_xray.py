@@ -233,6 +233,43 @@ class TestCapsuleLoadMemory:
         assert len({id(v) for v in details}) == len(set(details))
 
 
+class TestCapsuleAttempts:
+    """A loaded capsule answers the attempt queries the live run did."""
+
+    def test_loaded_attempts_match_live_run(self, tmp_path):
+        from repro import AnalyticsContext, hdd_cluster
+        from repro.faults import FaultInjector, random_plan
+        from repro.serve import JobServer, PoissonArrivals, sort_template
+        from repro.simulator.rng import RngStreams
+        from repro.xray import RunRecorder
+
+        seed = 3
+        cluster = hdd_cluster(num_machines=4, num_disks=2, seed=seed)
+        ctx = AnalyticsContext(cluster, engine="monospark")
+        FaultInjector(ctx.engine, random_plan(
+            RngStreams(seed), range(4), horizon_s=40.0,
+            restart_after=5.0)).start()
+        server = JobServer(ctx, policy="fifo", seed=seed)
+        server.add_tenant("t")
+        server.add_workload("t", sort_template(ctx, total_gb=0.1,
+                                               num_tasks=8, seed=seed),
+                            PoissonArrivals(0.5, horizon_s=40.0))
+        path = str(tmp_path / "crash.capsule")
+        with RunRecorder(path, engine="monospark", seed=seed) as recorder:
+            recorder.attach(ctx.metrics)
+            server.run()
+        live, loaded = ctx.metrics, Capsule.load(path)
+        assert live.retry_count() > 0
+        assert set(live.attempt_outcome_counts()) > {"success"}
+        assert loaded.attempts == live.attempts
+        assert loaded.retry_count() == live.retry_count()
+        assert (loaded.attempt_outcome_counts()
+                == live.attempt_outcome_counts())
+        for job_id in live.jobs:
+            assert (loaded.attempts_for_job(job_id)
+                    == live.attempts_for_job(job_id))
+
+
 class TestQuery:
     def test_aggregate_by_resource_sees_monotask_layer(self, clean):
         rows = CapsuleQuery(clean).aggregate(group_by="resource")
