@@ -44,19 +44,12 @@ from repro.obs.drift import DRIFT_ENVELOPE, DriftVerdict, ModelDriftDetector
 from repro.obs.exemplars import WORST_JOB_METRIC, Exemplar, ExemplarStore
 from repro.obs.journal import EventJournal
 from repro.obs.rules import (AbsenceRule, BurnRateRule, ThresholdRule)
+from repro.stats import percentile
 from repro.trace.telemetry import TelemetryRegistry
 
 __all__ = ["ObservabilityPlane"]
 
 Labels = Tuple[Tuple[str, str], ...]
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 #: Metric names the default rules watch.
@@ -362,13 +355,13 @@ class ObservabilityPlane:
         for machine_id, flows in self._flows.items():
             flows[:] = [f for f in flows if f[0] >= horizon]
             if flows:
-                rates[machine_id] = _median([f[1] for f in flows])
+                rates[machine_id] = percentile([f[1] for f in flows], 50.0)
         observed = [rates[m] for m in sorted(rates)]
         if not observed:
             for machine_id in self._relrate:
                 self._relrate[machine_id] = 1.0
             return
-        median = _median(observed)
+        median = percentile(observed, 50.0)
         for machine_id in self._relrate:
             rate = rates.get(machine_id)
             if rate is None or median <= 0:
