@@ -51,12 +51,10 @@ def main():
     print(format_fault_report(ctx.metrics, crashed.job_id))
     print()
 
-    killed = [a for a in ctx.metrics.attempts_for_job(crashed.job_id)
-              if a.outcome == "killed"]
-    fetch_failed = [a for a in ctx.metrics.attempts_for_job(crashed.job_id)
-                    if a.outcome == "fetch-failed"]
-    print(f"the crash killed {len(killed)} running attempts; "
-          f"{len(fetch_failed)} reducers hit missing map output and")
+    outcomes = ctx.metrics.attempt_outcome_counts(crashed.job_id)
+    print(f"the crash killed {outcomes.get('killed', 0)} running attempts; "
+          f"{outcomes.get('fetch-failed', 0)} reducers hit missing map "
+          "output and")
     print("waited while the engine re-ran the lost maps from lineage --")
     print("the job still finished with the fault-free answer.")
 

@@ -41,7 +41,7 @@ from repro.faults.policy import (MAX_ATTEMPTS, MAX_FETCH_RETRIES,
                                  SPECULATION_MULTIPLIER,
                                  SPECULATION_PERCENTILE, RecoveryPolicy)
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import SpeculationRecord, TaskAttemptRecord
+from repro.metrics.events import SpeculationRecord
 from repro.simulator import Environment, Event, Process
 from repro.trace.spans import TraceContext
 from repro.trace.telemetry import TelemetryRegistry
@@ -457,14 +457,6 @@ class TaskPool:
                 else "interrupted"
         else:
             detail = type(error).__name__
-        descriptor = attempt.state.descriptor
-        self.metrics.record_task_attempt(TaskAttemptRecord(
-            job_id=descriptor.job_id, stage_id=descriptor.stage_id,
-            task_index=descriptor.index, attempt=attempt.number,
-            machine_id=attempt.machine_id
-            if attempt.machine_id is not None else -1,
-            start=attempt.started_at, end=self.env.now, outcome=outcome,
-            speculative=attempt.speculative, detail=detail))
         self.metrics.attempt_finished(attempt.trace, self.env.now,
                                       outcome, detail)
 

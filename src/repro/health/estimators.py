@@ -22,7 +22,7 @@ online:
   slow one looks slow itself).
 
 Estimators consume what the metrics collector records -- MonoSpark's
-record streams through cursors, Spark's attempt spans as they close --
+record streams and Spark's finished attempt spans, through cursors --
 folding each tick's new observations as a batch mean into a
 per-``(machine, resource)`` EWMA whose new-observation weight is the
 fixed constant :data:`EWMA_ALPHA`.  Batch means make the estimate
@@ -34,11 +34,10 @@ record streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import CPU, DISK, NETWORK
-from repro.trace.spans import SPAN_ATTEMPT, SpanRecord
 
 __all__ = ["MonotaskRateEstimator", "TaskEwmaEstimator", "TASK"]
 
@@ -159,18 +158,11 @@ class TaskEwmaEstimator:
     name = "task-ewma"
 
     def __init__(self, metrics: MetricsCollector) -> None:
+        self.metrics = metrics
         self.table = _RateTable()
-        #: Attempt spans closed since the last update.
-        self._finished: List[SpanRecord] = []
-        metrics.add_span_sink(self)
-
-    def span_finished(self, span: SpanRecord) -> None:
-        """Span-sink hook: keep each attempt span as it closes."""
-        if span.kind == SPAN_ATTEMPT:
-            self._finished.append(span)
-
-    def link_recorded(self, link) -> None:
-        """Span-sink hook: links carry no task timing."""
+        self._attempts = _StreamCursor()
+        # Only attempts that finish from now on are observed.
+        self._attempts.finished(metrics.attempts)
 
     def update(self) -> None:
         """Fold newly finished task attempts into the table.
@@ -179,13 +171,12 @@ class TaskEwmaEstimator:
         were dispatched (span ids are minted at dispatch), so each
         machine's batch sums its rates in a fixed order.
         """
-        self._finished.sort(key=lambda span: span.span_id)
-        for span in self._finished:
+        finished = self._attempts.finished(self.metrics.attempts)
+        for span in sorted(finished, key=lambda span: span.span_id):
             duration = span.end - span.start
             if duration <= 0:
                 continue
             self.table.observe(span.machine_id, TASK, 1.0 / duration)
-        self._finished.clear()
         self.table.flush()
 
     def observation_count(self, machine_id: int) -> int:

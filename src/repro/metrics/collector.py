@@ -21,8 +21,7 @@ from repro.errors import ModelError, SimulationError
 from repro.metrics.events import (CPU, DISK, NETWORK, Event, JobRecord,
                                   MonotaskRecord, ResourceUsageRecord,
                                   ServeRecord, SpeculationRecord,
-                                  StageRecord, TaskAttemptRecord,
-                                  TransferRecord)
+                                  StageRecord, TransferRecord)
 from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                LINK_REDISPATCH, LINK_RETRY,
                                LINK_SHUFFLE_FETCH, LINK_SPECULATION,
@@ -41,7 +40,8 @@ class MetricsCollector:
     def __init__(self) -> None:
         self.monotasks: List[MonotaskRecord] = []
         self.resource_usage: List[ResourceUsageRecord] = []
-        self.attempts: List[TaskAttemptRecord] = []
+        #: Finished task-attempt spans, in the order they closed.
+        self.attempts: List[SpanRecord] = []
         #: Every incident record (faults, health decisions, driver
         #: events, alert transitions), in arrival order.
         self.events: List[Event] = []
@@ -66,7 +66,6 @@ class MetricsCollector:
         self._monotasks_by_job: Dict[int, List[MonotaskRecord]] = {}
         self._usage_by_stage: Dict[Tuple[int, int],
                                    List[ResourceUsageRecord]] = {}
-        self._attempts_by_job: Dict[int, List[TaskAttemptRecord]] = {}
         self._span_ids = count(1)
         self._open_spans: Dict[int, SpanRecord] = {}
         self._job_spans: Dict[int, SpanRecord] = {}
@@ -103,17 +102,14 @@ class MetricsCollector:
         return next(self._span_ids)
 
     def add_span_sink(self, sink) -> None:
-        """Stream closed spans and links to ``sink`` (a run recorder, or
-        the Spark health estimator)."""
+        """Stream closed spans and links to ``sink`` (a run recorder)."""
         self._sinks.append(sink)
 
     def record_span(self, span: SpanRecord) -> None:
         """Append a complete (already closed) span."""
         self.spans.append(span)
         self._spans_by_trace.setdefault(span.trace_id, []).append(span)
-        self._invalidate_trace(span.trace_id)
-        for sink in self._sinks:
-            sink.span_finished(span)
+        self._span_finished(span)
 
     def record_link(self, link: SpanLink) -> None:
         """Append one causal link."""
@@ -133,7 +129,12 @@ class MetricsCollector:
         if span is None:
             return
         span.end = now
+        self._span_finished(span)
+
+    def _span_finished(self, span: SpanRecord) -> None:
         self._invalidate_trace(span.trace_id)
+        if span.kind == SPAN_ATTEMPT:
+            self.attempts.append(span)
         for sink in self._sinks:
             sink.span_finished(span)
 
@@ -191,11 +192,6 @@ class MetricsCollector:
                 kind=LINK_QUEUE_WAIT, trace_id=trace.trace_id,
                 at=record.start,
                 detail=f"{record.resource} queue {record.queue_s:.6f}s"))
-
-    def record_task_attempt(self, record: TaskAttemptRecord) -> None:
-        """Append one task attempt's outcome."""
-        self.attempts.append(record)
-        self._attempts_by_job.setdefault(record.job_id, []).append(record)
 
     def record_event(self, event: Event) -> None:
         """Append one incident record to the event stream."""
@@ -348,7 +344,14 @@ class MetricsCollector:
 
     def attempt_finished(self, trace: TraceContext, now: float,
                          outcome: str, detail: str = "") -> None:
-        """Close an attempt span, stamping its outcome."""
+        """Close an attempt span, stamping its outcome.
+
+        ``outcome`` is ``"success"``, ``"failed"`` (the attempt raised),
+        ``"fetch-failed"`` (map output was missing; lineage recovery
+        runs before the retry), or ``"killed"`` (interrupted by a
+        machine crash or by losing a speculation race).  ``detail`` is
+        a deterministic short cause (exception type or interrupt cause).
+        """
         span = self._open_spans.get(trace.span_id)
         if span is not None:
             span.attrs["outcome"] = outcome
@@ -444,19 +447,17 @@ class MetricsCollector:
         """Spark ground-truth usage records of one stage."""
         return list(self._usage_by_stage.get((job_id, stage_id), ()))
 
-    def attempts_for_job(self, job_id: int) -> List[TaskAttemptRecord]:
-        """All task attempts of one job."""
-        return list(self._attempts_by_job.get(job_id, ()))
-
     def attempt_outcome_counts(self,
                                job_id: Optional[int] = None
                                ) -> Dict[str, int]:
         """Attempts grouped by outcome (``success``/``failed``/...)."""
         counts: Dict[str, int] = {}
-        for attempt in self.attempts:
-            if job_id is not None and attempt.job_id != job_id:
+        for span in self.attempts:
+            attrs = span.attrs
+            if job_id is not None and attrs["job_id"] != job_id:
                 continue
-            counts[attempt.outcome] = counts.get(attempt.outcome, 0) + 1
+            outcome = attrs["outcome"]
+            counts[outcome] = counts.get(outcome, 0) + 1
         return counts
 
     def serve_records(self, tenant: Optional[str] = None) -> List[ServeRecord]:
@@ -485,6 +486,7 @@ class MetricsCollector:
 
     def retry_count(self, job_id: Optional[int] = None) -> int:
         """Non-speculative attempts beyond each task's first."""
-        return sum(1 for a in self.attempts
-                   if a.attempt > 1 and not a.speculative
-                   and (job_id is None or a.job_id == job_id))
+        return sum(1 for span in self.attempts
+                   if span.attrs["attempt"] > 1
+                   and not span.attrs.get("speculative", False)
+                   and (job_id is None or span.attrs["job_id"] == job_id))

@@ -25,7 +25,6 @@ __all__ = [
     "ResourceUsageRecord",
     "StageRecord",
     "JobRecord",
-    "TaskAttemptRecord",
     "Event",
     "FaultEventRecord",
     "HealthEventRecord",
@@ -124,34 +123,6 @@ class ResourceUsageRecord:
     network_bytes: float = 0.0
     deserialize_s: float = 0.0
     serialize_s: float = 0.0
-
-
-@dataclass(slots=True)
-class TaskAttemptRecord:
-    """One attempt at running a task: the unit of retry and speculation.
-
-    ``outcome`` is ``"success"``, ``"failed"`` (the attempt raised),
-    ``"fetch-failed"`` (map output was missing; lineage recovery runs
-    before the retry), or ``"killed"`` (interrupted by a machine crash
-    or by losing a speculation race).
-    """
-
-    job_id: int
-    stage_id: int
-    task_index: int
-    attempt: int
-    machine_id: int
-    start: float
-    end: float
-    outcome: str
-    speculative: bool = False
-    #: Deterministic short cause (exception type or interrupt cause).
-    detail: str = ""
-
-    @property
-    def duration(self) -> float:
-        """Attempt wall-clock seconds."""
-        return self.end - self.start
 
 
 class Event:

@@ -159,13 +159,14 @@ def slot_share_stage_usage(metrics: MetricsCollector, cluster: Cluster,
         machine_id = machine.machine_id
         stage_slot_s = 0.0
         total_slot_s = 0.0
-        for attempt in metrics.attempts:
-            if attempt.machine_id != machine_id:
+        for span in metrics.attempts:
+            if span.machine_id != machine_id:
                 continue
-            slot_s = _overlap(attempt.start, attempt.end, window_start,
+            slot_s = _overlap(span.start, span.end, window_start,
                               window_end)
             total_slot_s += slot_s
-            if attempt.job_id == job_id and attempt.stage_id == stage_id:
+            attrs = span.attrs
+            if attrs["job_id"] == job_id and attrs["stage_id"] == stage_id:
                 stage_slot_s += slot_s
         if total_slot_s <= 0 or stage_slot_s <= 0:
             continue

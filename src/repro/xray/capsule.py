@@ -37,9 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import CapsuleError
 from repro.jsonl import JsonlWriter
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import JobRecord, ServeRecord, TaskAttemptRecord
-from repro.trace.spans import (SPAN_ATTEMPT, SpanLink, SpanRecord,
-                               link_to_json, span_to_json)
+from repro.metrics.events import JobRecord, ServeRecord
+from repro.trace.spans import SpanLink, SpanRecord, link_to_json, span_to_json
 
 __all__ = ["CAPSULE_SCHEMA", "KNOWN_SCHEMAS", "RunRecorder", "Capsule"]
 
@@ -102,18 +101,6 @@ def _link_from_json(line: Dict[str, Any],
         from_span_id=line["from"], to_span_id=line["to"],
         kind=share(kind, kind), trace_id=share(trace_id, trace_id),
         at=line.get("at", float("nan")), detail=share(detail, detail))
-
-
-def _attempt_from_span(span: SpanRecord) -> TaskAttemptRecord:
-    """The attempt record a finished attempt span was closed with."""
-    attrs = span.attrs
-    return TaskAttemptRecord(
-        job_id=attrs["job_id"], stage_id=attrs["stage_id"],
-        task_index=attrs["task_index"], attempt=attrs["attempt"],
-        machine_id=span.machine_id, start=span.start, end=span.end,
-        outcome=attrs["outcome"],
-        speculative=attrs.get("speculative", False),
-        detail=attrs.get("detail", ""))
 
 
 def _job_to_json(record: JobRecord) -> Dict[str, Any]:
@@ -245,10 +232,8 @@ class Capsule(MetricsCollector):
     the file: :meth:`load` replays spans, links and serve records
     through ``record_span``, ``record_link`` and ``record_serve``, so
     the per-job span queries and the cached critical paths are the
-    collector's own.  Each finished attempt span also replays its
-    attempt record through ``record_task_attempt``: spans are written
-    as they close, and an attempt's record is taken just before its
-    span closes, so file order is the live collector's order.
+    collector's own.  Spans are written as they close, so the attempt
+    spans land in ``attempts`` in the live collector's order.
     """
 
     def __init__(self) -> None:
@@ -377,8 +362,6 @@ class Capsule(MetricsCollector):
         if kind == "span":
             span = _span_from_json(line, strings)
             self.record_span(span)
-            if span.kind == SPAN_ATTEMPT and "outcome" in span.attrs:
-                self.record_task_attempt(_attempt_from_span(span))
             self._body.append(("span", span))
         elif kind == "link":
             link = _link_from_json(line, strings)

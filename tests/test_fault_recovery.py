@@ -119,8 +119,10 @@ class TestCrashRecovery:
         ctx = AnalyticsContext(hdd_cluster(num_machines=4), engine=engine)
         crash_plan(ctx, at=duration * 0.4)
         assert word_count(ctx) == expected
-        attempts = ctx.metrics.attempts_for_job(ctx.last_result.job_id)
-        assert any(a.outcome != "success" for a in attempts)
+        job_id = ctx.last_result.job_id
+        attempts = [a.attrs for a in ctx.metrics.attempts
+                    if a.attrs["job_id"] == job_id]
+        assert any(a["outcome"] != "success" for a in attempts)
         assert ctx.metrics.retry_count() > 0
 
     def test_sort_survives_crash_with_restart(self, engine):
@@ -219,12 +221,13 @@ class TestLineageRecovery:
         assert outcomes.get("fetch-failed", 0) > 0
         # Lineage re-ran maps: more map attempts than map tasks.
         job_id = ctx.last_result.job_id
-        map_stage = max(a.stage_id for a in ctx.metrics.attempts
-                        if a.job_id == job_id)
-        map_attempts = [a for a in ctx.metrics.attempts
-                        if a.job_id == job_id and a.stage_id == map_stage]
-        successes = [a for a in map_attempts if a.outcome == "success"]
-        assert len(successes) > len({a.task_index for a in map_attempts})
+        map_stage = max(a.attrs["stage_id"] for a in ctx.metrics.attempts
+                        if a.attrs["job_id"] == job_id)
+        map_attempts = [a.attrs for a in ctx.metrics.attempts
+                        if a.attrs["job_id"] == job_id
+                        and a.attrs["stage_id"] == map_stage]
+        successes = [a for a in map_attempts if a["outcome"] == "success"]
+        assert len(successes) > len({a["task_index"] for a in map_attempts})
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -240,9 +243,11 @@ class TestSpeculation:
         records = sort_records(ctx)
         assert sorted(records) == expected
         assert len(ctx.metrics.speculations) >= 1
-        attempts = ctx.metrics.attempts_for_job(ctx.last_result.job_id)
-        speculative = [a for a in attempts if a.speculative]
+        job_id = ctx.last_result.job_id
+        speculative = [a.attrs for a in ctx.metrics.attempts
+                       if a.attrs["job_id"] == job_id
+                       and a.attrs.get("speculative", False)]
         assert speculative
         # The losing attempt of each race was killed, not failed.
-        assert all(a.outcome in ("success", "killed")
+        assert all(a["outcome"] in ("success", "killed")
                    for a in speculative)

@@ -266,8 +266,10 @@ class TestCapsuleAttempts:
         assert (loaded.attempt_outcome_counts()
                 == live.attempt_outcome_counts())
         for job_id in live.jobs:
-            assert (loaded.attempts_for_job(job_id)
-                    == live.attempts_for_job(job_id))
+            assert ([a for a in loaded.attempts
+                     if a.attrs["job_id"] == job_id]
+                    == [a for a in live.attempts
+                        if a.attrs["job_id"] == job_id])
 
 
 class TestQuery:
