@@ -64,10 +64,10 @@ def spark_attribution_errors(ctx, results):
     errors = []
     for result in results:
         for stage in ctx.metrics.stage_records(result.job_id):
-            truth = true_stage_usage(ctx.metrics, result.job_id,
-                                     stage.stage_id)
+            stage_id = stage.attrs["stage_id"]
+            truth = true_stage_usage(ctx.metrics, result.job_id, stage_id)
             estimate = slot_share_stage_usage(ctx.metrics, ctx.cluster,
-                                              result.job_id, stage.stage_id)
+                                              result.job_id, stage_id)
             errors.extend(estimate.relative_errors(truth).values())
     return errors
 

@@ -40,7 +40,7 @@ def summarize(engine, ctx, result):
     events = trace_events(metrics, job_id=job_id)
     report = critical_path(metrics, job_id, engine=engine)
     records = (len(metrics.monotasks) + len(metrics.attempts) + len(metrics.transfers)
-               + len(metrics.stages) + len(metrics.jobs))
+               + len(metrics.jobs))
     if report.attributable:
         top = sorted(report.fractions().items(),
                      key=lambda item: (-item[1], item[0]))[:2]

@@ -10,8 +10,9 @@ carrying the args the spec requires.
 For run capsules (``repro xray record`` JSONL files, detected by their
 ``{"type": "capsule", ...}`` header line), checks the envelope every
 reader relies on: a known ``schema`` version on every line, known line
-types, a header carrying engine/seed/config, and a trailing manifest
-whose per-type counts match the body exactly.
+types, a header carrying engine/seed/config, stage spans carrying the
+integer ids and finite end that a loaded capsule's stage queries read,
+and a trailing manifest whose per-type counts match the body exactly.
 
 Used by the CI trace-smoke job; also handy on any artifact before
 loading it into Perfetto or ``repro xray``.
@@ -21,6 +22,7 @@ Exit status 0 when every file validates, 1 otherwise.
 """
 
 import json
+import math
 import numbers
 import sys
 
@@ -33,6 +35,10 @@ KNOWN_CAPSULE_SCHEMAS = (1,)
 CAPSULE_LINE_TYPES = ("capsule", "span", "link", "journal", "serve",
                       "job", "telemetry", "clarity", "summary",
                       "manifest")
+
+#: Integer attrs every stage span carries: ``Capsule.stage_records``
+#: and ``stage_window`` index and report stages by them.
+STAGE_SPAN_ATTRS = ("job_id", "stage_id", "num_tasks")
 
 #: Phases our exporter emits; anything else is an error.
 KNOWN_PHASES = {"X", "M", "s", "f", "b", "e", "i"}
@@ -117,6 +123,20 @@ def validate_events(events):
                f"{len(ends)} ends")
 
 
+def _stage_span_errors(where, record):
+    """Yield error strings for one ``kind == "stage"`` span line."""
+    attrs = record.get("attrs")
+    if not isinstance(attrs, dict):
+        attrs = {}
+    for key in STAGE_SPAN_ATTRS:
+        value = attrs.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            yield f"{where}: stage span lacks integer attrs.{key}"
+    end = record.get("end")
+    if not _is_number(end) or not math.isfinite(end):
+        yield f"{where}: stage span end {end!r} is not finite"
+
+
 def validate_capsule_lines(lines):
     """Yield error strings for one capsule's JSONL lines."""
     parsed = []
@@ -139,6 +159,8 @@ def validate_capsule_lines(lines):
         elif schema not in KNOWN_CAPSULE_SCHEMAS:
             yield (f"{where}: unknown schema version {schema!r} "
                    f"(known: {list(KNOWN_CAPSULE_SCHEMAS)})")
+        if kind == "span" and record.get("kind") == "stage":
+            yield from _stage_span_errors(where, record)
         parsed.append(record)
     if not parsed:
         yield "empty capsule"

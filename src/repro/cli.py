@@ -423,8 +423,9 @@ def _report_job(ctx, label: str) -> None:
     print(f"{label}: {format_seconds(result.duration)} simulated "
           f"on {ctx.cluster.describe()}")
     for stage in ctx.metrics.stage_records(result.job_id):
-        print(f"  stage {stage.stage_id} ({stage.name}): "
-              f"{format_seconds(stage.duration)}, {stage.num_tasks} tasks")
+        attrs = stage.attrs
+        print(f"  stage {attrs['stage_id']} ({stage.name}): "
+              f"{format_seconds(stage.duration)}, {attrs['num_tasks']} tasks")
 
 
 def _cmd_sort(args) -> int:

@@ -7,7 +7,7 @@ from repro.metrics.events import (CPU, DISK, NETWORK, JobRecord,
                                   PHASE_OUTPUT_WRITE, PHASE_SETUP,
                                   PHASE_SHUFFLE_READ, PHASE_SHUFFLE_SERVE,
                                   PHASE_SHUFFLE_WRITE, ResourceUsageRecord,
-                                  ServeRecord, StageRecord)
+                                  ServeRecord)
 from repro.metrics.report import format_seconds, format_table, print_table
 from repro.metrics.timeline import render_timeline
 from repro.metrics.utilization import (UtilizationSummary,
@@ -18,7 +18,6 @@ __all__ = [
     "MetricsCollector",
     "MonotaskRecord",
     "ResourceUsageRecord",
-    "StageRecord",
     "JobRecord",
     "ServeRecord",
     "CPU",

@@ -158,20 +158,21 @@ def trace_events(metrics: MetricsCollector,
                        "ph": "b", "ts": round(job.start * 1e6, 3)})
         events.append({**common, "name": f"job {jid} ({job.name})",
                        "ph": "e", "ts": round(job.end * 1e6, 3)})
-    for (jid, stage_id) in sorted(metrics.stages):
+    for jid in sorted(metrics.jobs):
         if job_id is not None and jid != job_id:
             continue
-        stage = metrics.stages[(jid, stage_id)]
-        if stage.end != stage.end:
-            continue
-        driver_used = True
-        common = {"cat": "stage", "id": f"job-{jid}-stage-{stage_id}",
-                  "pid": DRIVER_PID, "tid": "stages"}
-        name = f"stage {stage_id} ({stage.name})"
-        events.append({**common, "name": name, "ph": "b",
-                       "ts": round(stage.start * 1e6, 3)})
-        events.append({**common, "name": name, "ph": "e",
-                       "ts": round(stage.end * 1e6, 3)})
+        for stage in metrics.stage_records(jid):
+            if stage.end != stage.end:
+                continue
+            driver_used = True
+            stage_id = stage.attrs["stage_id"]
+            common = {"cat": "stage", "id": f"job-{jid}-stage-{stage_id}",
+                      "pid": DRIVER_PID, "tid": "stages"}
+            name = f"stage {stage_id} ({stage.name})"
+            events.append({**common, "name": name, "ph": "b",
+                           "ts": round(stage.start * 1e6, 3)})
+            events.append({**common, "name": name, "ph": "e",
+                           "ts": round(stage.end * 1e6, 3)})
 
     # Control-plane and alerting milestones as instant events under the
     # driver process: elections/failovers and alert transitions pin the

@@ -21,7 +21,7 @@ from repro.errors import ModelError, SimulationError
 from repro.metrics.events import (CPU, DISK, NETWORK, Event, JobRecord,
                                   MonotaskRecord, ResourceUsageRecord,
                                   ServeRecord, SpeculationRecord,
-                                  StageRecord, TransferRecord)
+                                  TransferRecord)
 from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                LINK_REDISPATCH, LINK_RETRY,
                                LINK_SHUFFLE_FETCH, LINK_SPECULATION,
@@ -48,10 +48,6 @@ class MetricsCollector:
         self.transfers: List[TransferRecord] = []
         self.speculations: List[SpeculationRecord] = []
         self.serves: List[ServeRecord] = []
-        self.stages: Dict[Tuple[int, int], StageRecord] = {}
-        #: job -> {stage id: record}, so one job's stages are found
-        #: without sorting every job's.
-        self._stages_by_job: Dict[int, Dict[int, StageRecord]] = {}
         self.jobs: Dict[int, JobRecord] = {}
         #: Every span ever opened, in open order (leaves are appended
         #: closed; container spans close in place).
@@ -69,7 +65,9 @@ class MetricsCollector:
         self._span_ids = count(1)
         self._open_spans: Dict[int, SpanRecord] = {}
         self._job_spans: Dict[int, SpanRecord] = {}
-        self._stage_spans: Dict[Tuple[int, int], SpanRecord] = {}
+        #: job -> {stage id: stage span}, filled when a stage opens
+        #: live or its span is replayed from a capsule.
+        self._stage_spans: Dict[int, Dict[int, SpanRecord]] = {}
         #: (job, stage, task_index) -> most recent attempt span, for
         #: retry/speculation links between consecutive attempts.
         self._last_attempt_spans: Dict[Tuple[int, int, int], SpanRecord] = {}
@@ -109,6 +107,10 @@ class MetricsCollector:
         """Append a complete (already closed) span."""
         self.spans.append(span)
         self._spans_by_trace.setdefault(span.trace_id, []).append(span)
+        if span.kind == SPAN_STAGE:
+            attrs = span.attrs
+            self._stage_spans.setdefault(
+                attrs["job_id"], {})[attrs["stage_id"]] = span
         self._span_finished(span)
 
     def record_link(self, link: SpanLink) -> None:
@@ -225,15 +227,12 @@ class MetricsCollector:
                       num_tasks: int, now: float,
                       parent_stage_ids: Optional[Iterable[int]] = None
                       ) -> TraceContext:
-        """Open a stage record and its span under the job's span.
+        """Open a stage span under the job's span.
 
         ``parent_stage_ids`` records DAG-edge links from each parent
         stage's span, capturing *why* this stage could not start
         earlier.
         """
-        record = self.stages[(job_id, stage_id)] = StageRecord(
-            job_id, stage_id, name, num_tasks, start=now)
-        self._stages_by_job.setdefault(job_id, {})[stage_id] = record
         self._analysis_cache.pop(job_id, None)
         job_span = self._job_spans.get(job_id)
         trace_id = (job_span.trace_id if job_span is not None
@@ -244,9 +243,10 @@ class MetricsCollector:
             kind=SPAN_STAGE, name=name, start=now,
             attrs={"job_id": job_id, "stage_id": stage_id,
                    "num_tasks": num_tasks}))
-        self._stage_spans[(job_id, stage_id)] = span
+        job_stages = self._stage_spans.setdefault(job_id, {})
+        job_stages[stage_id] = span
         for parent_stage in sorted(parent_stage_ids or ()):
-            parent_span = self._stage_spans.get((job_id, parent_stage))
+            parent_span = job_stages.get(parent_stage)
             if parent_span is not None:
                 self.record_link(SpanLink(
                     from_span_id=parent_span.span_id,
@@ -257,17 +257,15 @@ class MetricsCollector:
                             parent_id=parent)
 
     def stage_finished(self, job_id: int, stage_id: int, now: float) -> None:
-        """Close a stage record (and span)."""
-        record = self.stages.get((job_id, stage_id))
-        if record is None:
+        """Close a stage span."""
+        job_stages = self._stage_spans.get(job_id, {})
+        span = job_stages.get(stage_id)
+        if span is None:
             raise SimulationError(
                 f"stage_finished for unknown stage {stage_id} of job "
-                f"{job_id}; known stages: {sorted(self.stages)}")
-        record.end = now
+                f"{job_id}; known stages: {sorted(job_stages)}")
         self._analysis_cache.pop(job_id, None)
-        span = self._stage_spans.get((job_id, stage_id))
-        if span is not None:
-            self._close_span(span.span_id, now)
+        self._close_span(span.span_id, now)
 
     def job_started(self, job_id: int, name: str, now: float) -> TraceContext:
         """Open a job record and the root span of the job's trace.
@@ -312,7 +310,7 @@ class MetricsCollector:
         ``redispatch`` for health-driven re-dispatch off an excluded
         machine.
         """
-        stage_span = self._stage_spans.get((job_id, stage_id))
+        stage_span = self._stage_spans.get(job_id, {}).get(stage_id)
         trace_id = (stage_span.trace_id if stage_span is not None
                     else self.job_trace_id(job_id))
         parent = stage_span.span_id if stage_span is not None else None
@@ -405,9 +403,9 @@ class MetricsCollector:
         """Wall-clock seconds of one job."""
         return self.jobs[job_id].duration
 
-    def stage_records(self, job_id: int) -> List[StageRecord]:
-        """Stage records of a job, ordered by stage id."""
-        by_stage = self._stages_by_job.get(job_id, {})
+    def stage_records(self, job_id: int) -> List[SpanRecord]:
+        """A job's stage spans, ordered by stage id."""
+        by_stage = self._stage_spans.get(job_id, {})
         return [by_stage[stage_id] for stage_id in sorted(by_stage)]
 
     def stage_monotasks(self, job_id: int,
@@ -421,8 +419,8 @@ class MetricsCollector:
 
     def stage_window(self, job_id: int, stage_id: int) -> Tuple[float, float]:
         """A stage's (start, end) wall-clock window."""
-        record = self.stages[(job_id, stage_id)]
-        return record.start, record.end
+        span = self._stage_spans[job_id][stage_id]
+        return span.start, span.end
 
     def total_compute_seconds(self, job_id: int,
                               stage_id: Optional[int] = None) -> float:

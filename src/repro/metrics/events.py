@@ -23,7 +23,6 @@ from typing import ClassVar, FrozenSet, Optional
 __all__ = [
     "MonotaskRecord",
     "ResourceUsageRecord",
-    "StageRecord",
     "JobRecord",
     "Event",
     "FaultEventRecord",
@@ -401,21 +400,6 @@ class ServeRecord:
         if self.slo_s is None:
             return None
         return self.outcome == "completed" and self.latency_s <= self.slo_s
-
-
-@dataclass
-class StageRecord:
-    job_id: int
-    stage_id: int
-    name: str
-    num_tasks: int
-    start: float
-    end: float = float("nan")
-
-    @property
-    def duration(self) -> float:
-        """Stage wall-clock seconds."""
-        return self.end - self.start
 
 
 @dataclass

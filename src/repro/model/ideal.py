@@ -153,16 +153,16 @@ def hardware_profile(cluster: Cluster) -> HardwareProfile:
 
 def profile_job(metrics: MetricsCollector, job_id: int) -> List[StageProfile]:
     """Build per-stage profiles from a job's monotask self-reports."""
-    stage_records = metrics.stage_records(job_id)
-    if not stage_records:
+    stage_spans = metrics.stage_records(job_id)
+    if not stage_spans:
         raise ModelError(f"no stages recorded for job {job_id}")
     profiles = []
-    for stage_record in stage_records:
+    for stage_span in stage_spans:
+        stage_id = stage_span.attrs["stage_id"]
         profile = StageProfile(
-            job_id=job_id, stage_id=stage_record.stage_id,
-            name=stage_record.name,
-            measured_duration_s=stage_record.duration)
-        for record in metrics.stage_monotasks(job_id, stage_record.stage_id):
+            job_id=job_id, stage_id=stage_id, name=stage_span.name,
+            measured_duration_s=stage_span.duration)
+        for record in metrics.stage_monotasks(job_id, stage_id):
             if record.resource == CPU:
                 profile.compute_s += record.duration
                 profile.deserialize_s += record.deserialize_s

@@ -72,20 +72,20 @@ def spark_stage_profiles(metrics: MetricsCollector,
     (``input_deserialize_s`` stays zero, and disk bytes are not broken
     out by phase).
     """
-    stage_records = metrics.stage_records(job_id)
-    if not stage_records:
+    stage_spans = metrics.stage_records(job_id)
+    if not stage_spans:
         raise ModelError(f"no stages recorded for job {job_id}")
     profiles = []
-    for stage_record in stage_records:
-        usage = metrics.usage_for_stage(job_id, stage_record.stage_id)
+    for stage_span in stage_spans:
+        stage_id = stage_span.attrs["stage_id"]
+        usage = metrics.usage_for_stage(job_id, stage_id)
         if not usage:
             raise ModelError(
                 f"no Spark resource-usage records for job {job_id} stage "
-                f"{stage_record.stage_id}")
+                f"{stage_id}")
         profile = StageProfile(
-            job_id=job_id, stage_id=stage_record.stage_id,
-            name=stage_record.name,
-            measured_duration_s=stage_record.duration)
+            job_id=job_id, stage_id=stage_id, name=stage_span.name,
+            measured_duration_s=stage_span.duration)
         for record in usage:
             profile.compute_s += record.cpu_s
             profile.disk_bytes["measured"] = (
@@ -191,9 +191,10 @@ def attribution_errors(metrics: MetricsCollector, cluster: Cluster,
                        job_id: int) -> Dict[int, Dict[str, float]]:
     """Per-stage relative attribution errors for one job (Fig 16)."""
     errors: Dict[int, Dict[str, float]] = {}
-    for stage_record in metrics.stage_records(job_id):
-        truth = true_stage_usage(metrics, job_id, stage_record.stage_id)
+    for stage_span in metrics.stage_records(job_id):
+        stage_id = stage_span.attrs["stage_id"]
+        truth = true_stage_usage(metrics, job_id, stage_id)
         estimate = slot_share_stage_usage(metrics, cluster, job_id,
-                                          stage_record.stage_id)
-        errors[stage_record.stage_id] = estimate.relative_errors(truth)
+                                          stage_id)
+        errors[stage_id] = estimate.relative_errors(truth)
     return errors

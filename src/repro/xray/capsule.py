@@ -34,7 +34,7 @@ import gc
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import CapsuleError
+from repro.errors import CapsuleError, ModelError
 from repro.jsonl import JsonlWriter
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import JobRecord, ServeRecord
@@ -231,9 +231,9 @@ class Capsule(MetricsCollector):
     A :class:`~repro.metrics.collector.MetricsCollector` filled from
     the file: :meth:`load` replays spans, links and serve records
     through ``record_span``, ``record_link`` and ``record_serve``, so
-    the per-job span queries and the cached critical paths are the
-    collector's own.  Spans are written as they close, so the attempt
-    spans land in ``attempts`` in the live collector's order.
+    the per-job span and stage queries and the cached critical paths
+    are the collector's own.  Spans are written as they close, so the
+    attempt spans land in ``attempts`` in the live collector's order.
     """
 
     def __init__(self) -> None:
@@ -274,6 +274,13 @@ class Capsule(MetricsCollector):
         """The job's critical path, attributed for the recorded engine
         unless ``engine`` says otherwise."""
         return super().critical_path_report(job_id, engine or self.engine)
+
+    def stage_profiles(self, job_id: int):
+        """Always raises :class:`ModelError`: stage profiles are built
+        from monotask records, and a capsule carries none."""
+        raise ModelError(
+            f"capsule {self.path} carries no monotask records, so job "
+            f"{job_id} has no stage profiles")
 
     def completed_jobs(self) -> List[ServeRecord]:
         """Serve records of completed, traced requests, arrival order."""

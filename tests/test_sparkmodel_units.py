@@ -54,7 +54,7 @@ class TestAttribution:
     def test_true_usage_from_task_records(self):
         ctx = spark_run()
         job = ctx.last_result.job_id
-        stage0 = ctx.metrics.stage_records(job)[0].stage_id
+        stage0 = ctx.metrics.stage_records(job)[0].attrs["stage_id"]
         truth = true_stage_usage(ctx.metrics, job, stage0)
         assert truth.cpu_s > 0
 
@@ -64,9 +64,10 @@ class TestAttribution:
         ctx = spark_run(blocks=8)
         job = ctx.last_result.job_id
         for stage in ctx.metrics.stage_records(job):
-            truth = true_stage_usage(ctx.metrics, job, stage.stage_id)
+            stage_id = stage.attrs["stage_id"]
+            truth = true_stage_usage(ctx.metrics, job, stage_id)
             estimate = slot_share_stage_usage(ctx.metrics, ctx.cluster,
-                                              job, stage.stage_id)
+                                              job, stage_id)
             assert estimate.relative_errors(truth)["cpu_s"] < 0.05
 
     def test_cache_hides_logical_io_from_machine_observation(self):
@@ -77,10 +78,11 @@ class TestAttribution:
         ctx = spark_run(blocks=8)
         job = ctx.last_result.job_id
         stages = ctx.metrics.stage_records(job)
-        map_stage = max(stages, key=lambda s: s.num_tasks)
-        truth = true_stage_usage(ctx.metrics, job, map_stage.stage_id)
+        map_stage = max(stages, key=lambda s: s.attrs["num_tasks"])
+        map_stage_id = map_stage.attrs["stage_id"]
+        truth = true_stage_usage(ctx.metrics, job, map_stage_id)
         estimate = slot_share_stage_usage(ctx.metrics, ctx.cluster, job,
-                                          map_stage.stage_id)
+                                          map_stage_id)
         assert estimate.disk_bytes < truth.disk_bytes * 0.75
 
     def test_relative_errors_skip_zero_truth(self):

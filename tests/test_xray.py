@@ -272,6 +272,40 @@ class TestCapsuleAttempts:
                         if a.attrs["job_id"] == job_id])
 
 
+class TestCapsuleStages:
+    """A loaded capsule answers the stage queries the live run did."""
+
+    @pytest.mark.parametrize("engine", ["monospark", "spark"])
+    def test_loaded_stages_match_live_run(self, tmp_path, engine):
+        from repro.errors import ModelError
+        from repro.xray import RunRecorder
+        from repro.xray.scenario import build_run
+
+        run = CanonicalRun(engine=engine, jobs=3, block_mb=8.0)
+        ctx, server, _, _ = build_run(run)
+        path = str(tmp_path / "run.capsule")
+        with RunRecorder(path, engine=engine, seed=run.seed) as recorder:
+            recorder.attach(ctx.metrics)
+            server.run()
+        live, loaded = ctx.metrics, Capsule.load(path)
+        assert len(live.jobs) == run.jobs
+
+        def fields(spans):
+            return [(s.name, s.start, s.end, s.attrs) for s in spans]
+
+        for job_id in live.jobs:
+            stages = live.stage_records(job_id)
+            assert len(stages) == 2
+            assert fields(loaded.stage_records(job_id)) == fields(stages)
+            for stage in stages:
+                stage_id = stage.attrs["stage_id"]
+                assert (loaded.stage_window(job_id, stage_id)
+                        == live.stage_window(job_id, stage_id)
+                        == (stage.start, stage.end))
+            with pytest.raises(ModelError, match="no monotask records"):
+                loaded.stage_profiles(job_id)
+
+
 class TestQuery:
     def test_aggregate_by_resource_sees_monotask_layer(self, clean):
         rows = CapsuleQuery(clean).aggregate(group_by="resource")
@@ -653,3 +687,32 @@ class TestValidator:
         kind, count, errors = _load_validator().validate_file(clean.path)
         assert (kind, errors) == ("capsule", [])
         assert count == clean.manifest["lines"]
+
+    @pytest.mark.parametrize("tamper, error", [
+        (lambda span: span["attrs"].pop("stage_id"),
+         "lacks integer attrs.stage_id"),
+        (lambda span: span["attrs"].update(job_id="1"),
+         "lacks integer attrs.job_id"),
+        (lambda span: span["attrs"].update(num_tasks=4.0),
+         "lacks integer attrs.num_tasks"),
+        (lambda span: span.update(end=float("nan")), "is not finite"),
+        (lambda span: span.pop("end"), "is not finite"),
+    ], ids=["no-stage-id", "str-job-id", "float-num-tasks", "nan-end",
+            "no-end"])
+    def test_stage_span_fields_checked(self, tmp_path, clean, tamper,
+                                       error):
+        # Loaded stage queries index stages by these attrs and report
+        # their end; a stage span without them is rejected.
+        with open(clean.path) as handle:
+            lines = handle.read().splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if '"kind":"stage"' in line)
+        span = json.loads(lines[index])
+        tamper(span)
+        lines[index] = json.dumps(span, separators=(",", ":"))
+        path = tmp_path / "stage.capsule"
+        path.write_text("\n".join(lines) + "\n")
+        kind, _, errors = _load_validator().validate_file(str(path))
+        assert kind == "capsule"
+        assert len(errors) == 1 and error in errors[0]
+        assert errors[0].startswith(f"line {index + 1}: stage span")
