@@ -6,7 +6,8 @@ from repro.api.context import AnalyticsContext
 from repro.api.plan import DfsOutput, ShuffleInput, ShuffleOutput
 from repro.cluster import hdd_cluster
 from repro.errors import ConfigError, PlanError, SimulationError
-from repro.faults import FaultInjector, FaultPlan, MachineCrash
+from repro.faults import (FaultInjector, FaultPlan, MachineCrash,
+                          RecoveryPolicy, random_plan)
 from repro.serve import (AdmissionController, CostEstimator,
                          DeadlineScheduler, JobServer, PoissonArrivals,
                          BurstyArrivals, TraceArrivals, WeightedFairScheduler,
@@ -350,6 +351,46 @@ class TestJobServer:
             JobServer(ctx).add_tenant("t", weight=0.0)
         with pytest.raises(ConfigError):
             JobServer(ctx).add_tenant("t", slo_s=-1.0)
+
+
+class TestExhaustedRetries:
+    """A task that runs out of attempts fails its job, not the run."""
+
+    class RecordingServer(JobServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submitted = []
+
+        def submit(self, job, tenant="default"):
+            request = super().submit(job, tenant=tenant)
+            self.submitted.append(request)
+            return request
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_job_fails_and_server_keeps_serving(self, seed):
+        # Disk deaths exhaust a shuffle task's attempts on MonoSpark at
+        # both seeds; the server must drain and account every request.
+        cluster = hdd_cluster(4, 2, seed=seed)
+        ctx = AnalyticsContext(cluster, engine="monospark",
+                               recovery=RecoveryPolicy(speculation=True))
+        plan = random_plan(RngStreams(seed), range(4), 40.0, num_faults=3,
+                           restart_after=5.0,
+                           kind_weights={"crash": 1, "disk": 1,
+                                         "slowdown": 1},
+                           num_disks=2)
+        FaultInjector(ctx.engine, plan).start()
+        server = self.RecordingServer(ctx, seed=seed)
+        server.add_workload(
+            "t", sort_template(ctx, total_gb=0.1, num_tasks=8, seed=seed),
+            PoissonArrivals(0.5, horizon_s=40))
+        server.run()
+        records = ctx.metrics.serves
+        outcomes = [record.outcome for record in records]
+        assert "failed" in outcomes
+        assert set(outcomes) <= {"completed", "failed"}
+        assert sorted(record.arrival for record in records) == \
+            [request.arrival for request in server.submitted]
+        assert all(request.recorded for request in server.submitted)
 
 
 class TestSloAccounting:
