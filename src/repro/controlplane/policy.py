@@ -30,8 +30,8 @@ class ControlPlanePolicy:
 
     The heartbeat interval and timeout, the checkpoint sweep interval
     and the checkpoint store's size are fixed constants in
-    :mod:`repro.controlplane.plane`; the ring uses
-    :class:`~repro.controlplane.ring.HashRing`'s default vnodes.
+    :mod:`repro.controlplane.plane`; the ring's virtual points per
+    member are :data:`repro.controlplane.ring.VNODES`.
     """
 
     control_service_s: float = 0.005

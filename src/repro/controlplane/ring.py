@@ -1,7 +1,7 @@
 """Deterministic consistent hashing: tenants onto driver replicas.
 
 The control plane shards tenants across driver replicas with a classic
-consistent-hash ring: every member contributes ``vnodes`` virtual
+consistent-hash ring: every member contributes :data:`VNODES` virtual
 points, a key is owned by the first point clockwise of its hash, and
 membership churn therefore moves only the keys whose arcs the joining
 or leaving member touches -- the churn-stability property the tests
@@ -18,9 +18,13 @@ import bisect
 import hashlib
 from typing import Dict, Iterable, List, Tuple
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 
 __all__ = ["HashRing"]
+
+#: Virtual points per member: they smooth the load split, and 64 is
+#: plenty for the handful of driver replicas a control plane runs.
+VNODES = 64
 
 
 def _point(token: str) -> int:
@@ -30,16 +34,10 @@ def _point(token: str) -> int:
 
 
 class HashRing:
-    """A consistent-hash ring over integer member ids.
+    """A consistent-hash ring over integer member ids, with
+    :data:`VNODES` virtual points per member."""
 
-    ``vnodes`` virtual points per member smooth the load split; 64 is
-    plenty for the handful of driver replicas a control plane runs.
-    """
-
-    def __init__(self, vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ConfigError(f"vnodes must be >= 1: {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         self._points: List[Tuple[int, int]] = []  # (position, member)
         self._members: set = set()
 
@@ -60,7 +58,7 @@ class HashRing:
         if member in self._members:
             raise SimulationError(f"ring member {member} already joined")
         self._members.add(member)
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             position = _point(f"member:{member}#{v}")
             bisect.insort(self._points, (position, member))
 

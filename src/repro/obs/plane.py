@@ -85,12 +85,11 @@ class ObservabilityPlane:
     source machine's uplink is declared sick when its relative
     throughput falls below :data:`SOURCE_SLOW_THRESHOLD`, and drift
     beyond :data:`~repro.obs.drift.DRIFT_ENVELOPE` fires
-    ``model-drift``; both are fixed constants.  ``default_rules=False``
-    starts with an empty rulebook (add your own via :meth:`add_rule`).
+    ``model-drift``; both are fixed constants.  The default rules are
+    always installed; :meth:`add_rule` adds more beside them.
     """
 
-    def __init__(self, default_rules: bool = True) -> None:
-        self.default_rules = default_rules
+    def __init__(self) -> None:
         self.registry = TelemetryRegistry()
         self.exemplars = ExemplarStore()
         self.journal = EventJournal()
@@ -148,8 +147,7 @@ class ObservabilityPlane:
         for tenant in self._iter_tenants(tenants):
             if tenant.slo_s is not None:
                 self._ensure_slo_series(tenant.name)
-        if self.default_rules:
-            self._install_default_rules()
+        self._install_default_rules()
         for rule in self._pending_rules:
             self.alerts.add_rule(rule)
         del self._pending_rules[:]

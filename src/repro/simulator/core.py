@@ -375,8 +375,8 @@ class Environment:
     O(log n) per immediate event.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: Future events: a binary heap of (time, seq, event) tuples.
         self._heap: list[tuple[float, int, Event]] = []
         #: Zero-delay events, FIFO.  Entries carry the same (time, seq,

@@ -49,10 +49,6 @@ class TestHashRing:
         with pytest.raises(SimulationError):
             HashRing().assign("tenant")
 
-    def test_vnodes_validated(self):
-        with pytest.raises(ConfigError):
-            HashRing(vnodes=0)
-
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_churn_stability(self, seed):
         # Removing one member moves only the keys that member owned;

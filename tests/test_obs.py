@@ -449,15 +449,16 @@ class TestServingIntegration:
         with pytest.raises(ObsError, match="already attached"):
             obs.attach(ctx.engine)
 
-    def test_custom_rule_and_no_default_rules(self):
+    def test_custom_rule_beside_default_rules(self):
         cluster = hdd_cluster(num_machines=2, num_disks=1, seed=0)
         ctx = AnalyticsContext(cluster, engine="monospark")
-        obs = ObservabilityPlane(default_rules=False)
+        obs = ObservabilityPlane()
         obs.add_rule(ThresholdRule(name="always", metric="repro_obs_"
                                    "drift_ratio", op=">=", threshold=0.0,
                                    window_s=10.0))
         obs.attach(ctx.engine)
-        assert obs.alerts.rule_names() == ["always"]
+        assert obs.alerts.rule_names() == ["always", "model-drift",
+                                           "source-slow"]
         obs.start()
         server_env = ctx.engine.env
         server_env.run(until=server_env.timeout(3.0))

@@ -17,9 +17,13 @@ def make_pool(cluster, concurrency, policy="fifo", task_time=1.0):
         placements.append((task.task_id, machine.machine_id))
         yield cluster.env.timeout(task_time)
 
+    def recover(error):
+        # No lineage to re-run: the pool retries at once.
+        yield from ()
+
     pool = TaskPool(cluster.env, cluster.machines,
                     {m.machine_id: concurrency for m in cluster.machines},
-                    run_task, MetricsCollector(), policy=policy)
+                    run_task, MetricsCollector(), recover, policy=policy)
     return pool, placements
 
 
