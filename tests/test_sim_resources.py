@@ -1,6 +1,9 @@
 """Unit tests for Store, Semaphore, and BusyTracker."""
 
+from bisect import bisect_right
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.simulator import BusyTracker, Environment, Semaphore, Store
@@ -169,3 +172,90 @@ class TestBusyTracker:
         tracker = BusyTracker(env, units=1)
         with pytest.raises(SimulationError):
             tracker.remove(1)
+
+
+class ReferenceTracker:
+    """BusyTracker's change points as a list of ``(time, busy)`` tuples
+    with a parallel list of prefix sums: the model the tracker's
+    columns must reproduce float for float."""
+
+    def __init__(self, origin, retention_s=None):
+        self.changes = [(origin, 0)]
+        self.cum = [0.0]
+        self.cum0 = 0.0
+        self.origin = origin
+        self.retention_s = retention_s
+
+    def record(self, now, busy):
+        t_last, b_last = self.changes[-1]
+        if t_last == now:
+            self.changes[-1] = (now, busy)
+            return
+        self.changes.append((now, busy))
+        self.cum.append(self.cum[-1] + b_last * (now - t_last))
+        retention = self.retention_s
+        if retention is not None and \
+                self.changes[0][0] < now - 2.0 * retention:
+            idx = bisect_right(self.changes,
+                               (now - retention, float("inf"))) - 1
+            if idx > 0:
+                base = self.cum[idx]
+                self.cum0 += base
+                del self.changes[:idx]
+                self.cum = [c - base for c in self.cum[idx:]]
+
+    def integral(self, t):
+        t0 = self.changes[0][0]
+        if t <= t0:
+            span = t0 - self.origin
+            if span <= 0.0 or t <= self.origin:
+                return 0.0
+            return self.cum0 * ((t - self.origin) / span)
+        i = bisect_right(self.changes, (t, float("inf"))) - 1
+        t_i, busy_i = self.changes[i]
+        return self.cum0 + self.cum[i] + busy_i * (t - t_i)
+
+    def busy_time(self, start, end):
+        if end <= start:
+            return 0.0
+        return self.integral(end) - self.integral(start)
+
+
+delays = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+
+
+class TestBusyTrackerModel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(delays, st.integers(0, 4)), min_size=1,
+                    max_size=60),
+           st.one_of(st.none(), st.floats(0.25, 10.0)),
+           st.lists(st.floats(-1.0, 1.1), max_size=12))
+    def test_matches_reference(self, steps, retention, fractions):
+        # Repeated timestamps (zero delays) overwrite the last change
+        # point; a retention horizon compacts old points away.  Every
+        # query must equal the reference bit for bit.
+        env = Environment()
+        tracker = BusyTracker(env, units=4)
+        if retention is not None:
+            tracker.set_retention(retention)
+        reference = ReferenceTracker(env.now, retention)
+
+        def proc():
+            for delay, busy in steps:
+                yield env.timeout(delay)
+                tracker.set_busy(busy)
+                reference.record(env.now, busy)
+                assert len(tracker) == len(reference.changes)
+
+        env.run(until=env.process(proc()))
+        now = env.now
+        times = sorted(fraction * now for fraction in fractions)
+        assert tracker.busy_integrals(times) == \
+            [reference.integral(t) for t in times]
+        assert tracker.busy_time() == reference.busy_time(0.0, now)
+        for start, end in zip(times, times[1:] + [now]):
+            assert tracker.busy_time(start, end) == \
+                reference.busy_time(start, end)
+            expected = (reference.busy_time(start, end)
+                        / (4 * (end - start)) if end > start else 0.0)
+            assert tracker.utilization(start, end) == expected
