@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, FrozenSet, Optional
 
+from repro.trace.spans import SPAN_MONOTASK, SpanRecord
+
 __all__ = [
     "MonotaskRecord",
     "ResourceUsageRecord",
@@ -69,19 +71,23 @@ PHASE_DATASVC_DRAIN = "datasvc_drain"
 PHASE_DATASVC_REPLICATE = "datasvc_replicate"
 
 
-@dataclass(slots=True)
-class MonotaskRecord:
-    """One monotask's self-report: what resource, how long, how much."""
+@dataclass(slots=True, kw_only=True)
+class MonotaskRecord(SpanRecord):
+    """One monotask's self-report: what resource, how long, how much.
 
+    The report is also the monotask's leaf span: with a trace context
+    the collector stamps the span identity onto the record and files
+    the same object as a span, so a traced monotask is stored once.
+    """
+
+    span_id: int = 0
+    trace_id: str = ""
+    parent_id: Optional[int] = None
+    kind: str = SPAN_MONOTASK
+    name: str = ""
     job_id: int
     stage_id: int
     task_index: int
-    resource: str  # CPU | DISK | NETWORK
-    phase: str
-    machine_id: int
-    start: float
-    end: float
-    nbytes: float = 0.0
     #: Disk index for disk monotasks (None otherwise).
     disk_index: Optional[int] = None
     #: Compute monotasks split their time so the model can subtract
@@ -89,14 +95,6 @@ class MonotaskRecord:
     deserialize_s: float = 0.0
     op_s: float = 0.0
     serialize_s: float = 0.0
-    #: Time between submission to the resource scheduler and start of
-    #: service: the "visible contention" queue time (§3.1).
-    queue_s: float = 0.0
-
-    @property
-    def duration(self) -> float:
-        """Service time: end minus start."""
-        return self.end - self.start
 
     @property
     def is_input_read(self) -> bool:

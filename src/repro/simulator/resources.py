@@ -10,6 +10,7 @@ These are the building blocks the hardware models and frameworks share:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import deque
 from typing import Any, Deque, List, Optional, Sequence, Tuple
@@ -121,8 +122,8 @@ class Semaphore:
 class BusyTracker:
     """Step-function record of how many units of a resource are busy.
 
-    The tracker stores ``(time, busy_units)`` change points plus a
-    parallel prefix-sum of busy unit-seconds, so any window query is two
+    The tracker stores change points as three flat arrays (times, busy
+    levels, prefix sums of busy unit-seconds), so any window query is two
     bisects instead of a scan from t=0.  Utilization over a window and
     full time series are computed by :mod:`repro.metrics.utilization`
     from these change points.
@@ -136,7 +137,7 @@ class BusyTracker:
     approximation -- everything within the retention horizon is exact).
     """
 
-    __slots__ = ("env", "units", "name", "busy", "changes",
+    __slots__ = ("env", "units", "name", "busy", "_times", "_levels",
                  "_cum", "_cum0", "_origin", "retention_s")
 
     def __init__(self, env: Environment, units: int, name: str = "",
@@ -145,11 +146,12 @@ class BusyTracker:
         self.units = units
         self.name = name
         self.busy = 0
-        self.changes: List[Tuple[float, int]] = [(env.now, 0)]
-        #: Prefix sums: ``_cum[i]`` = busy unit-seconds accumulated from
-        #: ``changes[0]`` up to ``changes[i]``.
-        self._cum: List[float] = [0.0]
-        #: Busy unit-seconds compacted away before ``changes[0]``.
+        #: From ``_times[i]`` on, ``_levels[i]`` units are busy;
+        #: ``_cum[i]`` = busy unit-seconds from ``_times[0]`` to it.
+        self._times = array("d", (env.now,))
+        self._levels = array("q", (0,))
+        self._cum = array("d", (0.0,))
+        #: Busy unit-seconds compacted away before ``_times[0]``.
         self._cum0 = 0.0
         #: Time the tracker started observing (usually 0.0).
         self._origin = env.now
@@ -158,7 +160,7 @@ class BusyTracker:
 
     def __len__(self) -> int:
         """Retained change points (bounded when a horizon is set)."""
-        return len(self.changes)
+        return len(self._times)
 
     def set_retention(self, retention_s: Optional[float]) -> None:
         """Bound retained change points to roughly ``retention_s`` of
@@ -189,33 +191,34 @@ class BusyTracker:
 
     def _record(self) -> None:
         now = self.env.now
-        changes = self.changes
-        t_last, b_last = changes[-1]
+        times, levels = self._times, self._levels
+        t_last = times[-1]
         if t_last == now:
-            changes[-1] = (now, self.busy)
+            levels[-1] = self.busy
         else:
-            changes.append((now, self.busy))
-            self._cum.append(self._cum[-1] + b_last * (now - t_last))
+            self._cum.append(self._cum[-1] + levels[-1] * (now - t_last))
+            times.append(now)
+            levels.append(self.busy)
             retention = self.retention_s
-            if retention is not None and changes[0][0] < now - 2.0 * retention:
+            if retention is not None and times[0] < now - 2.0 * retention:
                 self._compact(now - retention)
 
     def _compact(self, horizon: float) -> None:
         """Fold change points strictly before ``horizon`` into the
         checkpoint, keeping the last one at-or-before it as the new
         first point (its busy level is in effect at the horizon)."""
-        idx = bisect_right(self.changes, (horizon, float("inf"))) - 1
+        idx = bisect_right(self._times, horizon) - 1
         if idx <= 0:
             return
         base = self._cum[idx]
         self._cum0 += base
-        del self.changes[:idx]
-        self._cum = [c - base for c in self._cum[idx:]]
+        del self._times[:idx], self._levels[:idx]
+        self._cum = array("d", [c - base for c in self._cum[idx:]])
 
     def _integral(self, t: float) -> float:
         """Busy unit-seconds from the tracker origin to time ``t``."""
-        changes = self.changes
-        t0 = changes[0][0]
+        times = self._times
+        t0 = times[0]
         if t <= t0:
             # Inside (or before) the compacted region: prorate the
             # checkpointed mass uniformly over [origin, t0].
@@ -223,9 +226,8 @@ class BusyTracker:
             if span <= 0.0 or t <= self._origin:
                 return 0.0
             return self._cum0 * ((t - self._origin) / span)
-        i = bisect_right(changes, (t, float("inf"))) - 1
-        t_i, busy_i = changes[i]
-        return self._cum0 + self._cum[i] + busy_i * (t - t_i)
+        i = bisect_right(times, t) - 1
+        return self._cum0 + self._cum[i] + self._levels[i] * (t - times[i])
 
     def busy_time(self, start: float = 0.0, end: Optional[float] = None) -> float:
         """Total busy unit-seconds in ``[start, end]``."""
@@ -242,23 +244,22 @@ class BusyTracker:
         merged sweep over the change points, so sampling W window edges
         costs O(W + n) rather than W independent scans.
         """
-        changes = self.changes
-        cum = self._cum
-        n = len(changes)
+        points, levels, cum = self._times, self._levels, self._cum
+        n = len(points)
+        t0 = points[0]
         out: List[float] = []
         i = 0  # index of the last change point at or before t
         for t in times:
-            if t <= changes[0][0]:
-                span = changes[0][0] - self._origin
+            if t <= t0:
+                span = t0 - self._origin
                 if span <= 0.0 or t <= self._origin:
                     out.append(0.0)
                 else:
                     out.append(self._cum0 * ((t - self._origin) / span))
                 continue
-            while i + 1 < n and changes[i + 1][0] <= t:
+            while i + 1 < n and points[i + 1] <= t:
                 i += 1
-            t_i, busy_i = changes[i]
-            out.append(self._cum0 + cum[i] + busy_i * (t - t_i))
+            out.append(self._cum0 + cum[i] + levels[i] * (t - points[i]))
         return out
 
     def utilization(self, start: float = 0.0, end: Optional[float] = None) -> float:
