@@ -814,7 +814,11 @@ class BaseEngine:
             stage.stage_id: self.env.event() for stage in plan.stages}
         for stage in plan.stages:
             self.env.process(self._stage_runner(plan, stage, stage_done))
-        yield self.env.all_of(list(stage_done.values()))
+        try:
+            yield self.env.all_of(list(stage_done.values()))
+        except TaskFailedError:
+            self.metrics.job_finished(plan.job_id, self.env.now, failed=True)
+            raise
         self._release_in_memory_shuffle(plan.job_id)
         self.metrics.job_finished(plan.job_id, self.env.now)
         return self._assemble_result(plan, start)
@@ -860,10 +864,12 @@ class BaseEngine:
         """Run one stage once its parents are done.
 
         A task that fails for good fails this stage's ``stage_done``
-        event, and the failure cascades: each child stage's parent wait
-        fails in turn.  The job driver waits on every ``stage_done``
-        event, so the job fails instead of the run.
+        event (closing the stage's span as failed), and the failure
+        cascades: each child stage's parent wait fails in turn.  The job
+        driver waits on every ``stage_done`` event, so the job fails
+        instead of the run.
         """
+        started = False
         try:
             if stage.parent_stage_ids:
                 yield self.env.all_of(
@@ -871,6 +877,7 @@ class BaseEngine:
             self.metrics.stage_started(
                 plan.job_id, stage.stage_id, stage.name, stage.num_tasks,
                 self.env.now, parent_stage_ids=stage.parent_stage_ids)
+            started = True
             task_events = [self.pool.submit(task) for task in stage.tasks]
             if task_events:
                 barrier = self.env.all_of(task_events)
@@ -880,6 +887,9 @@ class BaseEngine:
                                                   barrier))
                 yield barrier
         except TaskFailedError as exc:
+            if started:
+                self.metrics.stage_finished(plan.job_id, stage.stage_id,
+                                            self.env.now, failed=True)
             stage_done[stage.stage_id].fail(exc)
             return
         self.metrics.stage_finished(plan.job_id, stage.stage_id, self.env.now)

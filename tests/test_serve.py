@@ -1,5 +1,7 @@
 """Tests for the continuous serving layer (``repro.serve``)."""
 
+import math
+
 import pytest
 
 from repro.api.context import AnalyticsContext
@@ -14,6 +16,8 @@ from repro.serve import (AdmissionController, CostEstimator,
                          instantiate_plan, make_scheduler, ml_template,
                          sort_template, wordcount_template)
 from repro.simulator.rng import RngStreams
+from repro.trace.spans import SPAN_JOB, SPAN_STAGE, span_to_json
+from repro.xray import Capsule, RunRecorder
 
 
 def make_ctx(engine="monospark", machines=2, **options):
@@ -366,10 +370,8 @@ class TestExhaustedRetries:
             self.submitted.append(request)
             return request
 
-    @pytest.mark.parametrize("seed", [1, 4])
-    def test_job_fails_and_server_keeps_serving(self, seed):
-        # Disk deaths exhaust a shuffle task's attempts on MonoSpark at
-        # both seeds; the server must drain and account every request.
+    def serve(self, seed):
+        """Serve a sort stream under faults; returns (ctx, server)."""
         cluster = hdd_cluster(4, 2, seed=seed)
         ctx = AnalyticsContext(cluster, engine="monospark",
                                recovery=RecoveryPolicy(speculation=True))
@@ -383,6 +385,13 @@ class TestExhaustedRetries:
         server.add_workload(
             "t", sort_template(ctx, total_gb=0.1, num_tasks=8, seed=seed),
             PoissonArrivals(0.5, horizon_s=40))
+        return ctx, server
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_job_fails_and_server_keeps_serving(self, seed):
+        # Disk deaths exhaust a shuffle task's attempts on MonoSpark at
+        # both seeds; the server must drain and account every request.
+        ctx, server = self.serve(seed)
         server.run()
         records = ctx.metrics.serves
         outcomes = [record.outcome for record in records]
@@ -391,6 +400,35 @@ class TestExhaustedRetries:
         assert sorted(record.arrival for record in records) == \
             [request.arrival for request in server.submitted]
         assert all(request.recorded for request in server.submitted)
+
+    def test_failed_job_spans_close(self, tmp_path):
+        # A failed job's span and its failed stage's span close at the
+        # failure, marked failed, so they reach the capsule and a
+        # loaded capsule answers stage queries like the live run.
+        ctx, server = self.serve(1)
+        path = str(tmp_path / "failed.capsule")
+        recorder = RunRecorder(path, engine="monospark").attach(ctx.metrics)
+        server.run()
+        recorder.finalize()
+        recorder.close()
+        metrics = ctx.metrics
+        assert [span for span in metrics.spans
+                if span.kind in (SPAN_JOB, SPAN_STAGE)
+                and not span.finished] == []
+        failed = [record.job_id for record in metrics.serves
+                  if record.outcome == "failed"]
+        assert 21 in failed
+        capsule = Capsule.load(path)
+        for job_id in failed:
+            live = metrics.stage_records(job_id)
+            assert [span_to_json(s) for s in live] == \
+                [span_to_json(s) for s in capsule.stage_records(job_id)]
+            assert any(s.attrs.get("outcome") == "failed" for s in live)
+            job_span = metrics.spans_for_job(job_id)[0]
+            assert job_span.kind == SPAN_JOB
+            assert job_span.attrs["outcome"] == "failed"
+            assert math.isnan(metrics.jobs[job_id].end)
+            assert math.isnan(capsule.jobs[job_id].end)
 
 
 class TestSloAccounting:
