@@ -716,3 +716,27 @@ class TestValidator:
         assert kind == "capsule"
         assert len(errors) == 1 and error in errors[0]
         assert errors[0].startswith(f"line {index + 1}: stage span")
+
+    @pytest.mark.parametrize("tamper, error", [
+        (lambda span: span["attrs"].pop("job_id"),
+         "lacks integer attrs.job_id"),
+        (lambda span: span["attrs"].update(job_id=True),
+         "lacks integer attrs.job_id"),
+        (lambda span: span.update(end=float("nan")), "is not finite"),
+        (lambda span: span.pop("end"), "is not finite"),
+    ], ids=["no-job-id", "bool-job-id", "nan-end", "no-end"])
+    def test_job_span_fields_checked(self, tmp_path, clean, tamper, error):
+        # A job span names its job and closes, also when the job fails.
+        with open(clean.path) as handle:
+            lines = handle.read().splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if '"kind":"job"' in line)
+        span = json.loads(lines[index])
+        tamper(span)
+        lines[index] = json.dumps(span, separators=(",", ":"))
+        path = tmp_path / "job.capsule"
+        path.write_text("\n".join(lines) + "\n")
+        kind, _, errors = _load_validator().validate_file(str(path))
+        assert kind == "capsule"
+        assert len(errors) == 1 and error in errors[0]
+        assert errors[0].startswith(f"line {index + 1}: job span")
