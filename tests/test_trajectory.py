@@ -149,6 +149,15 @@ class TestRegistry:
             committed = json.load(handle)
         assert check(bench, bench.run(1, committed), committed) == []
 
+    def test_kernel_stream_at_a_short_horizon(self):
+        # The kernel bench's stream over 120 simulated seconds: its
+        # invariants pin the stream on every interpreter CI runs.
+        from repro.kernelbench import KernelWorkload, _run_once
+        invariants, _ = _run_once(KernelWorkload(duration_s=120.0))
+        assert invariants == {
+            "jobs": 54, "monotasks": 7776, "events_scheduled": 51200,
+            "sim_time_s": 141.4392, "telemetry_points": 3630}
+
     def test_committed_clean_capsule_matches_bench_xray(self):
         with open(os.path.join(ROOT, "benchmarks", "results",
                                "xray_clean.capsule"), "rb") as handle:
