@@ -1,8 +1,8 @@
 """Kernel-throughput benchmark: simulated monotasks/sec, observed.
 
 Runs the seeded serving stream from ``repro.kernelbench`` -- the
-MonoSpark engine with the full always-on clarity/telemetry pipeline
-attached -- and checks it against the committed ``BENCH_kernel.json``:
+clarity pipeline's sort stream on the MonoSpark engine with the full
+always-on clarity/telemetry pipeline attached -- and checks it against the committed ``BENCH_kernel.json``:
 the deterministic workload invariants must match exactly (same seed =>
 identical counts on any machine), and the measured throughput must
 clear the committed conservative floor.  The committed file also keeps
@@ -15,13 +15,11 @@ import os
 
 from helpers import emit, once
 
-from repro.kernelbench import BENCH, KernelWorkload
+from repro.kernelbench import BENCH, TELEMETRY_INTERVAL_S, WORKLOAD
 from repro.trajectory import check
 
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_kernel.json")
-
-WORKLOAD = KernelWorkload()
 
 
 def test_kernel_throughput(benchmark):
@@ -46,7 +44,7 @@ def test_kernel_throughput(benchmark):
         f"{invariants['events_scheduled']} kernel events in "
         f"{invariants['sim_time_s']:.0f} simulated seconds (seed "
         f"{WORKLOAD.seed}), telemetry sampled every "
-        f"{WORKLOAD.telemetry_interval_s:.0f}s",
+        f"{TELEMETRY_INTERVAL_S:.0f}s",
         f"committed CI floor: {committed['min_monotasks_per_s']} "
         f"monotasks/s",
     ]

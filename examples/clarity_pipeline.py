@@ -16,38 +16,16 @@ instead of fabricating numbers.
 Run:  python examples/clarity_pipeline.py
 """
 
-from repro import AnalyticsContext
-from repro.clarity import CapacityAdvisor, ClarityAggregator
-from repro.cluster import hdd_cluster
+from repro.clarity import CapacityAdvisor
+from repro.clarity.validate import ClarityWorkload, run_clarity_serving
 from repro.model import hardware_profile
-from repro.serve import JobServer, PoissonArrivals, sort_template
-from repro.workloads.scaling import scaled_memory_overrides
-
-SEED = 0
-DURATION_S = 120.0
-
-
-def serve_with_clarity(engine):
-    cluster = hdd_cluster(num_machines=4, num_disks=2, seed=SEED,
-                          **scaled_memory_overrides(0.01))
-    ctx = AnalyticsContext(cluster, engine=engine,
-                           scheduling_policy="fair")
-    aggregator = ClarityAggregator(window_s=DURATION_S * 10,
-                                   engine=ctx.engine.name)
-    server = JobServer(ctx, policy="fifo", max_concurrent_jobs=1,
-                       seed=SEED, clarity=aggregator)
-    server.add_tenant("analytics")
-    server.add_workload(
-        "analytics",
-        sort_template(ctx, total_gb=0.5, num_tasks=32, seed=SEED),
-        PoissonArrivals(rate_per_s=0.05, horizon_s=DURATION_S))
-    server.run()
-    return ctx, aggregator
 
 
 def main():
     for engine in ("monospark", "spark"):
-        ctx, aggregator = serve_with_clarity(engine)
+        ctx, _, aggregator = run_clarity_serving(ClarityWorkload(
+            duration_s=120.0, rate_per_s=0.05, sort_gb=0.5, sort_tasks=32,
+            engine=engine))
         print(f"=== {engine} ===")
         print(aggregator.bottleneck().format())
         print()

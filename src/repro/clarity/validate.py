@@ -13,6 +13,12 @@ Everything is deterministic: the same :class:`ClarityWorkload` yields
 byte-identical :class:`ValidationResult` JSON, which is the repo's
 benchmark trajectory (``BENCH_clarity.json``, run by :data:`BENCH`)
 and is diffed exactly in CI.
+
+The seeded sort stream itself is built in one place,
+:func:`build_clarity_run`.  The validation re-runs it per candidate
+cluster, ``examples/clarity_pipeline.py`` serves it on both engines,
+and the kernel bench (:mod:`repro.kernelbench`) serves a long, fast
+variant of it with a telemetry sampler attached.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from repro.trajectory import Bench
 from repro.workloads.scaling import scaled_memory_overrides
 
 __all__ = ["ClarityWorkload", "CandidateOutcome", "ValidationResult",
-           "run_clarity_serving", "validate_advisor", "ERROR_ENVELOPE",
-           "BENCH"]
+           "build_clarity_run", "run_clarity_serving", "validate_advisor",
+           "ERROR_ENVELOPE", "BENCH"]
 
 #: The paper's worst-case relative prediction error (§6.2).
 ERROR_ENVELOPE = 0.30
@@ -89,23 +95,24 @@ class ClarityWorkload:
                        spec, seed=self.seed)
 
 
-def run_clarity_serving(workload: ClarityWorkload,
-                        cluster: Optional[Cluster] = None,
-                        engine: Optional[str] = None,
-                        ) -> Tuple[AnalyticsContext, "object",
-                                   ClarityAggregator]:
-    """Run the seeded serving stream with the clarity pipeline attached.
+def build_clarity_run(workload: ClarityWorkload,
+                      cluster: Optional[Cluster] = None,
+                      ) -> Tuple[AnalyticsContext, "object",
+                                 ClarityAggregator]:
+    """The seeded serving stream with the clarity pipeline attached.
 
-    Returns ``(ctx, serve_report, aggregator)``.  The aggregator's
-    window spans the whole run, so ``aggregator.observations()`` is
-    every completed job.
+    Returns ``(ctx, server, aggregator)`` with the
+    :class:`~repro.serve.server.JobServer` not yet run, so a caller may
+    attach more (the kernel bench sets ``server.telemetry``).  The
+    aggregator's window spans the whole run, so after ``server.run()``
+    ``aggregator.observations()`` is every completed job.
     """
     from repro.serve.server import JobServer
     from repro.serve.workload import PoissonArrivals, sort_template
 
     if cluster is None:
         cluster = workload.build_cluster()
-    ctx = AnalyticsContext(cluster, engine=engine or workload.engine,
+    ctx = AnalyticsContext(cluster, engine=workload.engine,
                            scheduling_policy="fair")
     aggregator = ClarityAggregator(window_s=workload.duration_s * 10,
                                    engine=ctx.engine.name)
@@ -119,8 +126,19 @@ def run_clarity_serving(workload: ClarityWorkload,
         "analytics", template,
         PoissonArrivals(workload.rate_per_s,
                         horizon_s=workload.duration_s))
-    report = server.run()
-    return ctx, report, aggregator
+    return ctx, server, aggregator
+
+
+def run_clarity_serving(workload: ClarityWorkload,
+                        cluster: Optional[Cluster] = None,
+                        ) -> Tuple[AnalyticsContext, "object",
+                                   ClarityAggregator]:
+    """Build the seeded clarity stream and serve it to the end.
+
+    Returns ``(ctx, serve_report, aggregator)``.
+    """
+    ctx, server, aggregator = build_clarity_run(workload, cluster)
+    return ctx, server.run(), aggregator
 
 
 def _service_times(report) -> List[float]:

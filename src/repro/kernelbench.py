@@ -11,6 +11,17 @@ paper's clarity story (PAPER.md §4) only holds if observing the system
 stays cheap, so the benchmark deliberately charges the kernel for its
 observability, not just for its event loop.
 
+The stream is the clarity pipeline's seeded sort stream
+(:func:`repro.clarity.validate.build_clarity_run`), tuned by
+:data:`WORKLOAD` to the always-on serving regime: a *long* stream of
+*small interactive* jobs arriving fast, with telemetry sampling on and
+bounded by :data:`TELEMETRY_RETENTION_S` the way a forever-run must
+be.  Thousands of completed jobs is the point -- per-job observability
+work (span collection, critical-path folding) that scales with
+*accumulated history* rather than with the job itself shows up here as
+a superlinear wall-clock blowup, which is exactly what the committed
+trajectory guards against.
+
 Two kinds of numbers come out:
 
 * **Deterministic workload invariants** -- jobs completed, monotask
@@ -30,42 +41,24 @@ Two kinds of numbers come out:
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
+from repro.clarity.validate import ClarityWorkload, build_clarity_run
+from repro.trace.telemetry import TelemetryRegistry, TelemetrySampler
 from repro.trajectory import Bench, repeat_deterministic
 
-__all__ = ["KernelWorkload", "BENCH"]
+__all__ = ["WORKLOAD", "TELEMETRY_INTERVAL_S", "TELEMETRY_RETENTION_S",
+           "BENCH"]
 
-
-@dataclass(frozen=True)
-class KernelWorkload:
-    """The seeded serving stream the kernel benchmark drives.
-
-    Shape mirrors :class:`repro.clarity.validate.ClarityWorkload` (a
-    fine-grained shuffle-heavy sort stream on a small HDD cluster) but
-    tuned to the always-on serving regime the clarity story depends on:
-    a *long* stream of *small interactive* jobs arriving fast, with
-    telemetry sampling on and bounded by ``telemetry_retention_s`` the
-    way a forever-run must be.  Thousands of completed jobs is the
-    point -- per-job observability work (span collection, critical-path
-    folding) that scales with *accumulated history* rather than with
-    the job itself shows up here as a superlinear wall-clock blowup,
-    which is exactly what the committed trajectory guards against.
-    """
-
-    machines: int = 4
-    disks: int = 2
-    cores: int = 8
-    network_mb_s: float = 125.0
-    seed: int = 0
-    fraction: float = 0.01
-    duration_s: float = 7200.0
-    rate_per_s: float = 0.4
-    sort_gb: float = 0.1875
-    sort_tasks: int = 8
-    telemetry_interval_s: float = 1.0
-    telemetry_retention_s: float = 120.0
+#: The stream the kernel bench serves: the clarity stream's cluster,
+#: run long with small sorts arriving fast.
+WORKLOAD = ClarityWorkload(duration_s=7200.0, rate_per_s=0.4,
+                           sort_gb=0.1875, sort_tasks=8)
+#: Simulated seconds between telemetry samples.
+TELEMETRY_INTERVAL_S = 1.0
+#: Simulated seconds of telemetry (and busy-tracker) history kept.
+TELEMETRY_RETENTION_S = 120.0
 
 
 def _run(repeats: int, committed: Optional[Dict]) -> Dict:
@@ -78,9 +71,8 @@ def _run(repeats: int, committed: Optional[Dict]) -> Dict:
     current measurement, low enough to absorb runner-speed variance
     while still catching an order-of-magnitude regression.
     """
-    workload = KernelWorkload()
     invariants, wall_s = repeat_deterministic(
-        lambda: _run_once(workload), repeats)
+        lambda: _run_once(WORKLOAD), repeats)
     current = {
         "wall_s": round(wall_s, 3),
         "monotasks_per_s": round(invariants["monotasks"] / wall_s, 1),
@@ -89,7 +81,9 @@ def _run(repeats: int, committed: Optional[Dict]) -> Dict:
     committed = committed or {}
     summary: Dict = {
         "benchmark": "kernel_throughput",
-        "workload": asdict(workload),
+        "workload": {**asdict(WORKLOAD),
+                     "telemetry_interval_s": TELEMETRY_INTERVAL_S,
+                     "telemetry_retention_s": TELEMETRY_RETENTION_S},
         "repeats": repeats,
         "invariants": invariants,
         "current": current,
@@ -115,42 +109,13 @@ def _gate(result: Dict) -> List[str]:
     return []
 
 
-def _run_once(workload: KernelWorkload) -> Tuple[Dict, float]:
-    """Run the seeded observed serving stream once: invariants, wall s."""
-    # Local imports: the benchmark pulls in the serve/clarity stack, and
-    # this module must stay importable without it being on the hot path.
-    from repro.api.context import AnalyticsContext
-    from repro.clarity.aggregator import ClarityAggregator
-    from repro.clarity.validate import ClarityWorkload
-    from repro.serve.server import JobServer
-    from repro.serve.workload import PoissonArrivals, sort_template
-    from repro.trace.telemetry import TelemetryRegistry, TelemetrySampler
-
-    shape = ClarityWorkload(
-        machines=workload.machines, disks=workload.disks,
-        cores=workload.cores, network_mb_s=workload.network_mb_s,
-        seed=workload.seed, fraction=workload.fraction)
-    cluster = shape.build_cluster()
-    ctx = AnalyticsContext(cluster, engine="monospark",
-                           scheduling_policy="fair")
+def _run_once(workload: ClarityWorkload) -> Tuple[Dict, float]:
+    """Serve ``workload`` once with telemetry on: invariants, wall s."""
+    ctx, server, _ = build_clarity_run(workload)
     env = ctx.engine.env
-    aggregator = ClarityAggregator(window_s=workload.duration_s * 10,
-                                   engine=ctx.engine.name)
-    registry = TelemetryRegistry(
-        retention_s=workload.telemetry_retention_s)
-    sampler = TelemetrySampler(env, registry,
-                               interval_s=workload.telemetry_interval_s)
-    server = JobServer(ctx, policy="fifo", max_concurrent_jobs=1,
-                       seed=workload.seed, clarity=aggregator,
-                       telemetry=sampler)
-    server.add_tenant("analytics")
-    template = sort_template(ctx, total_gb=workload.sort_gb,
-                             num_tasks=workload.sort_tasks,
-                             seed=workload.seed)
-    server.add_workload(
-        "analytics", template,
-        PoissonArrivals(workload.rate_per_s,
-                        horizon_s=workload.duration_s))
+    registry = TelemetryRegistry(retention_s=TELEMETRY_RETENTION_S)
+    server.telemetry = TelemetrySampler(env, registry,
+                                        interval_s=TELEMETRY_INTERVAL_S)
 
     start = time.perf_counter()
     report = server.run()

@@ -1,5 +1,7 @@
 """Tests for the always-on clarity pipeline (``repro.clarity``)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.clarity import (CapacityAdvisor, ClarityAggregator,
@@ -26,7 +28,7 @@ def mono_run():
 
 @pytest.fixture(scope="module")
 def spark_run():
-    return run_clarity_serving(SMALL, engine="spark")
+    return run_clarity_serving(replace(SMALL, engine="spark"))
 
 
 class TestTimeSeriesStore:

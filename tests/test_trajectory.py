@@ -5,9 +5,11 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
+from repro.kernelbench import WORKLOAD, _run_once
 from repro.trajectory import (REGISTRY, Bench, check, load,
                               repeat_deterministic)
 
@@ -152,8 +154,7 @@ class TestRegistry:
     def test_kernel_stream_at_a_short_horizon(self):
         # The kernel bench's stream over 120 simulated seconds: its
         # invariants pin the stream on every interpreter CI runs.
-        from repro.kernelbench import KernelWorkload, _run_once
-        invariants, _ = _run_once(KernelWorkload(duration_s=120.0))
+        invariants, _ = _run_once(replace(WORKLOAD, duration_s=120.0))
         assert invariants == {
             "jobs": 54, "monotasks": 7776, "events_scheduled": 51200,
             "sim_time_s": 141.4392, "telemetry_points": 3630}
