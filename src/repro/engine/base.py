@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (Any, Callable, Deque, Dict, FrozenSet, Generator,
-                    Iterator, List, Optional, Set, Tuple)
+                    List, Optional, Set, Tuple)
 
 from repro.api.plan import (CachedInput, CollectOutput, DfsInput, DfsOutput,
                             JobPlan, LocalInput, ShuffleInput, ShuffleOutput,
@@ -538,8 +538,11 @@ class BaseEngine:
         #: job_id -> [(machine_id, bytes)] of in-memory shuffle data,
         #: released when the job completes (shuffles are intra-job).
         self._in_memory_shuffle: Dict[int, List[Tuple[int, float]]] = {}
-        #: job_id -> plan, kept for lineage re-execution.
-        self._plans: Dict[int, JobPlan] = {}
+        #: Every job id submitted (job ids key results and lineage).
+        self._job_ids: Set[int] = set()
+        #: shuffle_id -> its map tasks in stage then task order, kept for
+        #: lineage re-execution while the job that writes it runs.
+        self._map_tasks: Dict[int, List[TaskDescriptor]] = {}
         #: shuffle_id -> in-flight recovery barrier (dedupes recoveries).
         self._recovering: Dict[int, Event] = {}
         self._dead_machines: Set[int] = set()
@@ -686,10 +689,10 @@ class BaseEngine:
         jobs are still executing.  The returned :class:`Process` is an
         event whose value is the job's :class:`JobResult`.
         """
-        if plan.job_id in self._plans:
+        if plan.job_id in self._job_ids:
             raise SimulationError(
                 f"job id {plan.job_id} was already submitted to this engine")
-        self._plans[plan.job_id] = plan
+        self._job_ids.add(plan.job_id)
         return self.env.process(self._job_driver(plan))
 
     # -- fault entry points --------------------------------------------------------
@@ -786,7 +789,7 @@ class BaseEngine:
         try:
             missing = set(self.map_outputs.missing_maps(shuffle_id))
             dones = [self.pool.resubmit(descriptor)
-                     for descriptor in self._map_descriptors(shuffle_id)
+                     for descriptor in self._map_tasks.get(shuffle_id, ())
                      if descriptor.index in missing]
             if dones:
                 yield self.env.all_of(dones)
@@ -794,22 +797,12 @@ class BaseEngine:
             if not barrier.triggered:
                 barrier.succeed()
 
-    def _map_descriptors(self, shuffle_id: int) -> Iterator[TaskDescriptor]:
-        """The map-side task descriptors of a shuffle, from saved plans."""
-        for plan in self._plans.values():
-            for stage in plan.stages:
-                for task in stage.tasks:
-                    output = task.output
-                    if isinstance(output, ShuffleOutput) and \
-                            output.shuffle_id == shuffle_id:
-                        yield task
-
     # -- job driving ---------------------------------------------------------------
 
     def _job_driver(self, plan: JobPlan) -> Generator:
         self.metrics.job_started(plan.job_id, plan.name, self.env.now)
         start = self.env.now
-        self._prepare_outputs(plan)
+        shuffle_ids = self._prepare_outputs(plan)
         stage_done: Dict[int, Event] = {
             stage.stage_id: self.env.event() for stage in plan.stages}
         for stage in plan.stages:
@@ -819,6 +812,12 @@ class BaseEngine:
         except TaskFailedError:
             self.metrics.job_finished(plan.job_id, self.env.now, failed=True)
             raise
+        finally:
+            # Shuffles are intra-job: once the driver ends, no reducer
+            # of this job waits on its map outputs any more.
+            for shuffle_id in shuffle_ids:
+                del self._map_tasks[shuffle_id]
+                self._recovering.pop(shuffle_id, None)
         self._release_in_memory_shuffle(plan.job_id)
         self.metrics.job_finished(plan.job_id, self.env.now)
         return self._assemble_result(plan, start)
@@ -845,19 +844,25 @@ class BaseEngine:
                     kept.append((mid, nbytes))
             self._in_memory_shuffle[job_id] = kept
 
-    def _prepare_outputs(self, plan: JobPlan) -> None:
+    def _prepare_outputs(self, plan: JobPlan) -> List[int]:
+        """Register the job's outputs; returns the shuffle ids it writes."""
+        shuffle_ids = []
         for stage in plan.stages:
             for task in stage.tasks:
                 output = task.output
                 if isinstance(output, ShuffleOutput):
                     self.map_outputs.expect_maps(output.shuffle_id,
                                                  stage.num_tasks)
+                    self._map_tasks.setdefault(
+                        output.shuffle_id, []).extend(stage.tasks)
+                    shuffle_ids.append(output.shuffle_id)
                     break  # Same output spec for every task in the stage.
                 if isinstance(output, DfsOutput):
                     if not self.cluster.dfs.exists(output.file_name):
                         self.cluster.dfs.open_output_file(output.file_name)
                     break
                 break
+        return shuffle_ids
 
     def _stage_runner(self, plan: JobPlan, stage: Stage,
                       stage_done: Dict[int, Event]) -> Generator:

@@ -401,6 +401,18 @@ class TestExhaustedRetries:
             [request.arrival for request in server.submitted]
         assert all(request.recorded for request in server.submitted)
 
+    def test_ended_jobs_leave_no_lineage_index(self):
+        # Shuffles are intra-job: once every driver has ended, completed
+        # and failed alike, no job's map tasks or recovery barriers stay.
+        ctx, server = self.serve(1)
+        server.run()
+        outcomes = {record.outcome for record in ctx.metrics.serves}
+        assert outcomes == {"completed", "failed"}
+        # Lost map outputs were recovered from the index during the run.
+        assert ctx.metrics.attempt_outcome_counts().get("fetch-failed")
+        assert ctx.engine._map_tasks == {}
+        assert ctx.engine._recovering == {}
+
     def test_failed_job_spans_close(self, tmp_path):
         # A failed job's span and its failed stage's span close at the
         # failure, marked failed, so they reach the capsule and a
