@@ -17,8 +17,9 @@ about what), so every reader of the event stream reads one type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, FrozenSet, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any, ClassVar, FrozenSet, Mapping, Optional
 
 from repro.trace.spans import SPAN_MONOTASK, SpanRecord
 
@@ -71,6 +72,11 @@ PHASE_DATASVC_DRAIN = "datasvc_drain"
 PHASE_DATASVC_REPLICATE = "datasvc_replicate"
 
 
+#: The ``attrs`` every monotask record shares until the collector gives
+#: a disk monotask its own (read-only, so no record can fill it in).
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
+
+
 @dataclass(slots=True, kw_only=True)
 class MonotaskRecord(SpanRecord):
     """One monotask's self-report: what resource, how long, how much.
@@ -85,6 +91,7 @@ class MonotaskRecord(SpanRecord):
     parent_id: Optional[int] = None
     kind: str = SPAN_MONOTASK
     name: str = ""
+    attrs: Mapping[str, Any] = field(default_factory=lambda: _NO_ATTRS)
     job_id: int
     stage_id: int
     task_index: int

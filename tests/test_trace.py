@@ -169,6 +169,16 @@ class TestMonotaskLeafSpans:
             assert record.name == record.phase
             assert record.span_id > 0 and record.parent_id is not None
 
+    def test_only_disk_records_own_an_attrs_dict(self):
+        records = run_shuffle().metrics.monotasks
+        compute = [r for r in records if r.phase == PHASE_COMPUTE]
+        assert len(compute) >= 2
+        assert compute[0].attrs is compute[1].attrs
+        assert compute[0].attrs == {}
+        disk = [r for r in records if r.disk_index is not None]
+        assert disk
+        assert all(r.attrs == {"disk_index": r.disk_index} for r in disk)
+
     def test_untraced_record_is_not_a_span(self):
         metrics = MetricsCollector()
         record = MonotaskRecord(
