@@ -155,6 +155,11 @@ class BottleneckWindow:
 #: of the window is called out as saturated in the window summary.
 SHARD_SATURATION_FRACTION = 0.9
 
+#: Completed-job observations a window retains (a ring, like the
+#: telemetry store), so the aggregator's memory is constant no matter
+#: how long the service runs.
+MAX_JOBS = 512
+
 #: Reason strings (kept stable: tests and reports match on them).
 _BLENDED_REASON = (
     "this engine runs blended tasks that pipeline cpu, disk, and "
@@ -165,26 +170,21 @@ _BLENDED_REASON = (
 class ClarityAggregator:
     """Folds completed jobs into rolling bottleneck-attribution windows.
 
-    ``window_s`` is the default query window; ``max_jobs`` bounds the
-    retained observations (a ring, like the telemetry store) so the
-    aggregator's memory is constant no matter how long the service
-    runs.
+    ``window_s`` is the default query window; at most :data:`MAX_JOBS`
+    observations are retained.
     """
 
-    def __init__(self, window_s: float = 120.0, max_jobs: int = 512,
-                 engine: str = "") -> None:
+    def __init__(self, window_s: float = 120.0, engine: str = "") -> None:
         if not window_s > 0:
             raise ClarityError(f"window_s must be positive: {window_s!r}")
-        if max_jobs < 1:
-            raise ClarityError(f"max_jobs must be >= 1: {max_jobs}")
         self.window_s = window_s
         self.engine = engine
-        self._jobs: Deque[JobClarity] = deque(maxlen=max_jobs)
+        self._jobs: Deque[JobClarity] = deque(maxlen=MAX_JOBS)
         #: (end time, driver id, busy seconds) of control-plane work,
         #: reported per dispatch by a sharded control plane; bounded
         #: like the job ring so memory stays constant.
         self._control: Deque[Tuple[float, int, float]] = deque(
-            maxlen=max(max_jobs * 16, 1024))
+            maxlen=MAX_JOBS * 16)
 
     # -- folding -------------------------------------------------------------------
 
@@ -231,7 +231,7 @@ class ClarityAggregator:
 
     @property
     def total_observed(self) -> int:
-        """Observations currently retained (bounded by ``max_jobs``)."""
+        """Observations currently retained (bounded by :data:`MAX_JOBS`)."""
         return len(self._jobs)
 
     def _now(self, now: Optional[float]) -> float:

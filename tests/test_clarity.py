@@ -6,6 +6,7 @@ import pytest
 
 from repro.clarity import (CapacityAdvisor, ClarityAggregator,
                            default_candidates)
+from repro.clarity import aggregator as clarity_aggregator
 from repro.clarity.advisor import Candidate
 from repro.clarity.validate import (ClarityWorkload, run_clarity_serving,
                                     validate_advisor)
@@ -262,10 +263,11 @@ class TestClarityAggregator:
         tiny = aggregator.bottleneck(now=newest + 1e6, window_s=1.0)
         assert tiny.jobs == 0
 
-    def test_max_jobs_bounds_retention(self, mono_run):
+    def test_max_jobs_bounds_retention(self, mono_run, monkeypatch):
         ctx, _, aggregator = mono_run
         job_id = aggregator.observations()[0].job_id
-        bounded = ClarityAggregator(max_jobs=2, engine="monospark")
+        monkeypatch.setattr(clarity_aggregator, "MAX_JOBS", 2)
+        bounded = ClarityAggregator(engine="monospark")
         for _ in range(5):
             bounded.observe_job(ctx.metrics, job_id)
         assert bounded.total_observed == 2
@@ -281,8 +283,6 @@ class TestClarityAggregator:
     def test_validation(self):
         with pytest.raises(ClarityError):
             ClarityAggregator(window_s=0.0)
-        with pytest.raises(ClarityError):
-            ClarityAggregator(max_jobs=0)
 
 
 class TestCapacityAdvisor:
