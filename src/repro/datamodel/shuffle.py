@@ -13,7 +13,7 @@ simulated I/O time), like everything else in the data model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.datamodel.records import Partition
 from repro.errors import ShuffleError
@@ -165,6 +165,19 @@ class MapOutputRegistry:
             return False
         self._drop_map(shuffle_id, map_index)
         return True
+
+    def drop_shuffles(self, shuffle_ids: Iterable[int]) -> None:
+        """Forget the shuffles of an ended job.
+
+        Shuffles are intra-job, so no reducer reads the buckets once the
+        job is over.  The other shuffles keep their order, so later
+        invalidations visit them as before.
+        """
+        for shuffle_id in shuffle_ids:
+            self._buckets.pop(shuffle_id, None)
+            self._locations.pop(shuffle_id, None)
+            self._num_maps.pop(shuffle_id, None)
+            self._sorted.pop(shuffle_id, None)
 
     def _drop_map(self, shuffle_id: int, map_index: int) -> None:
         self._locations[shuffle_id].pop(map_index, None)

@@ -19,8 +19,9 @@ and no injected faults, execution is identical to a recovery-free run.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import (Any, Callable, Deque, Dict, FrozenSet, Generator,
-                    List, Optional, Set, Tuple)
+                    Iterable, List, Optional, Set, Tuple)
 
 from repro.api.plan import (CachedInput, CollectOutput, DfsInput, DfsOutput,
                             JobPlan, LocalInput, ShuffleInput, ShuffleOutput,
@@ -109,7 +110,7 @@ class _TaskState:
 
     __slots__ = ("descriptor", "done", "failures", "fetch_failures",
                  "active", "finished", "committed", "speculated",
-                 "completed_duration", "next_attempt")
+                 "completed_duration", "next_attempt", "queued")
 
     def __init__(self, descriptor: TaskDescriptor, done: Event) -> None:
         self.descriptor = descriptor
@@ -123,6 +124,26 @@ class _TaskState:
         self.speculated = False
         self.completed_duration: Optional[float] = None
         self.next_attempt = 1
+        #: Attempts of this task waiting in the pool's pending queue.
+        self.queued = 0
+
+    @property
+    def idle(self) -> bool:
+        """Done, with no attempt pending or running (none can follow)."""
+        return self.done.triggered and not self.active and not self.queued
+
+
+class _EndedJob:
+    """An ended job whose task states still have attempts in flight."""
+
+    __slots__ = ("live", "on_forgotten")
+
+    def __init__(self, live: Set[str],
+                 on_forgotten: Callable[[], None]) -> None:
+        #: Ids of the tasks whose states are not idle yet.
+        self.live = live
+        #: Called once the last of them is forgotten.
+        self.on_forgotten = on_forgotten
 
 
 class TaskPool:
@@ -174,6 +195,8 @@ class TaskPool:
         self.free_slots: Dict[int, int] = dict(concurrency)
         self._concurrency: Dict[int, int] = dict(concurrency)
         self._states: Dict[str, _TaskState] = {}
+        #: job_id -> ended job whose tasks still have attempts in flight.
+        self._ended: Dict[int, _EndedJob] = {}
         self._dead: Set[int] = set()
         #: Health-excluded machines: alive but not schedulable.
         self._excluded: Set[int] = set()
@@ -197,10 +220,12 @@ class TaskPool:
 
         An attempt must claim the commit before publishing its outputs,
         so a speculation loser (or an attempt that survived past a
-        crash) cannot register a second copy.
+        crash) cannot register a second copy, and an attempt that
+        outlives its job (see :meth:`end_job`) publishes nothing.
         """
         state = self._states.get(task_id)
-        if state is None or state.committed or state.finished:
+        if state is None or state.committed or state.finished \
+                or state.descriptor.job_id in self._ended:
             return False
         state.committed = True
         return True
@@ -220,6 +245,40 @@ class TaskPool:
         self._requeue(state)
         self._dispatch()
         return done
+
+    def end_job(self, job_id: int, task_ids: Iterable[str],
+                on_forgotten: Callable[[], None]) -> None:
+        """Forget an ended job's task states, then call ``on_forgotten``.
+
+        A task that is not idle yet (a failed job's other tasks, a
+        speculation loser still running) keeps its state until it is,
+        so crashes and health exclusion reach its attempts as before.
+        From now on no attempt of the job may claim a commit.
+        """
+        live: Set[str] = set()
+        for task_id in task_ids:
+            state = self._states.get(task_id)
+            if state is None:
+                continue
+            if state.idle:
+                del self._states[task_id]
+            else:
+                live.add(task_id)
+        if live:
+            self._ended[job_id] = _EndedJob(live, on_forgotten)
+        else:
+            on_forgotten()
+
+    def _forget_ended(self, state: _TaskState, ended: _EndedJob) -> None:
+        """Drop an ended job's task state once it is idle."""
+        task_id = state.descriptor.task_id
+        if not state.idle or self._states.get(task_id) is not state:
+            return
+        del self._states[task_id]
+        ended.live.discard(task_id)
+        if not ended.live:
+            del self._ended[state.descriptor.job_id]
+            ended.on_forgotten()
 
     def set_machine_dead(self, machine_id: int) -> None:
         """Stop placing work on a machine and kill its running attempts."""
@@ -293,9 +352,7 @@ class TaskPool:
         state = self._states.get(task_id)
         if state is None or state.finished or state.speculated:
             return False
-        if len(state.active) != 1:
-            return False
-        if any(attempt.state is state for attempt in self.pending):
+        if len(state.active) != 1 or state.queued:
             return False
         original = next(iter(state.active.values()))
         if original.machine_id is None:
@@ -305,6 +362,7 @@ class TaskPool:
                            avoid=frozenset({original.machine_id}),
                            cause=cause)
         state.next_attempt += 1
+        state.queued += 1
         self.pending.append(attempt)
         descriptor = state.descriptor
         self.metrics.record_speculation(SpeculationRecord(
@@ -337,6 +395,7 @@ class TaskPool:
                  avoid: FrozenSet[int] = frozenset()) -> _Attempt:
         attempt = _Attempt(state, state.next_attempt, speculative, avoid)
         state.next_attempt += 1
+        state.queued += 1
         self.pending.append(attempt)
         return attempt
 
@@ -394,6 +453,7 @@ class TaskPool:
                 return
             self.pending.remove(attempt)
             state = attempt.state
+            state.queued -= 1
             self._last_job_served = state.descriptor.job_id
             self.free_slots[machine_id] -= 1
             attempt.machine_id = machine_id
@@ -445,6 +505,9 @@ class TaskPool:
                 state.done.succeed()
         else:
             self._handle_failure(state, attempt, outcome, error)
+        ended = self._ended.get(state.descriptor.job_id)
+        if ended is not None:
+            self._forget_ended(state, ended)
         self._dispatch()
 
     def _record_attempt(self, attempt: _Attempt, outcome: str,
@@ -811,14 +874,27 @@ class BaseEngine:
             yield self.env.all_of(list(stage_done.values()))
         except TaskFailedError:
             self.metrics.job_finished(plan.job_id, self.env.now, failed=True)
+            # A failed job returns nothing: drop what its tasks collected.
+            final = plan.final_stage
+            for task in final.tasks:
+                self._task_outputs.pop(
+                    (plan.job_id, final.stage_id, task.index), None)
             raise
         finally:
-            # Shuffles are intra-job: once the driver ends, no reducer
-            # of this job waits on its map outputs any more.
+            # Shuffles are intra-job: once the driver ends, completed or
+            # failed, no reducer of this job waits on its map outputs,
+            # and no reader needs its task states or in-memory shuffle.
+            # The map outputs go with the job's last attempt, which may
+            # still be reading them.
             for shuffle_id in shuffle_ids:
                 del self._map_tasks[shuffle_id]
                 self._recovering.pop(shuffle_id, None)
-        self._release_in_memory_shuffle(plan.job_id)
+            self.pool.end_job(
+                plan.job_id,
+                [task.task_id for stage in plan.stages
+                 for task in stage.tasks],
+                partial(self.map_outputs.drop_shuffles, shuffle_ids))
+            self._release_in_memory_shuffle(plan.job_id)
         self.metrics.job_finished(plan.job_id, self.env.now)
         return self._assemble_result(plan, start)
 

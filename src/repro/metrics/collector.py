@@ -184,8 +184,6 @@ class MetricsCollector:
         record.trace_id = trace.trace_id
         record.parent_id = trace.span_id
         record.name = record.phase
-        if record.disk_index is not None:
-            record.attrs = {"disk_index": record.disk_index}
         self.record_span(record)
         if record.queue_s > 0:
             self.record_link(SpanLink(

@@ -72,8 +72,9 @@ PHASE_DATASVC_DRAIN = "datasvc_drain"
 PHASE_DATASVC_REPLICATE = "datasvc_replicate"
 
 
-#: The ``attrs`` every monotask record shares until the collector gives
-#: a disk monotask its own (read-only, so no record can fill it in).
+#: The ``attrs`` every monotask record shares (read-only, so no record
+#: can fill it in).  A disk monotask's index is the ``disk_index`` field;
+#: ``span_to_json`` writes it into the line's attrs.
 _NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
 
 

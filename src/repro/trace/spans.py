@@ -165,8 +165,14 @@ def span_to_json(span: SpanRecord) -> Dict[str, Any]:
         record["queue_s"] = span.queue_s
     if span.nbytes:
         record["nbytes"] = span.nbytes
-    if span.attrs:
-        record["attrs"] = dict(sorted(span.attrs.items()))
+    attrs = span.attrs
+    # A disk monotask keeps its disk index in a field; its line carries
+    # it as an attr, which is how a loaded capsule reads it back.
+    disk_index = getattr(span, "disk_index", None)
+    if disk_index is not None:
+        attrs = {**attrs, "disk_index": disk_index}
+    if attrs:
+        record["attrs"] = dict(sorted(attrs.items()))
     return record
 
 

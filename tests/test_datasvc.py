@@ -89,24 +89,59 @@ class TestEngineIntegration:
         assert stats["bytes_in"] > 0 and stats["bytes_out"] > 0
 
     def test_map_output_registers_on_storage_tier(self, engine):
+        # The registry forgets a shuffle when its job ends, so observe
+        # every registration while the job runs.
         ctx, service = make_ctx(engine)
-        word_count(ctx)
         registry = ctx.engine.map_outputs
-        shuffle_ids = list(registry.shuffle_ids())
-        assert shuffle_ids
-        for shuffle_id in shuffle_ids:
-            for reduce_index in range(8):
-                for bucket in registry.buckets_for_reduce(shuffle_id,
-                                                          reduce_index):
-                    assert service.owns_machine(bucket.machine_id)
-                    assert bucket.disk_index is None
+        register = registry.register_map_output
+        seen = {}
+
+        def observed(shuffle_id, map_index, machine_id, disk_index,
+                     buckets):
+            for reduce_index in buckets:
+                # Every bucket of the call carries this location.
+                assert service.owns_machine(machine_id)
+                assert disk_index is None
+                seen.setdefault(shuffle_id, set()).add(reduce_index)
+            register(shuffle_id, map_index, machine_id, disk_index, buckets)
+        registry.register_map_output = observed
+        word_count(ctx)
+        assert seen
+        for reduce_indices in seen.values():
+            assert reduce_indices == set(range(8))
 
     def test_compute_crash_invalidates_nothing(self, engine):
         """The acceptance mechanism: the lineage index never points at
-        compute machines, so invalidating one drops zero map outputs."""
+        compute machines, so crashing one while map outputs are
+        registered drops none of them."""
         ctx, _ = make_ctx(engine)
-        word_count(ctx)
-        assert ctx.engine.map_outputs.invalidate_machine(1) == []
+        env = ctx.engine.env
+        registry = ctx.engine.map_outputs
+        register = registry.register_map_output
+        invalidate = registry.invalidate_machine
+        scheduled, live_shuffles, lost = [], [], []
+
+        def crash():
+            yield env.timeout(0)
+            live_shuffles.extend(registry.shuffle_ids())
+            ctx.engine.crash_machine(1)
+
+        def register_then_crash(*args):
+            register(*args)
+            if not scheduled:
+                scheduled.append(env.process(crash()))
+
+        def observed_invalidate(machine_id):
+            lost.append(invalidate(machine_id))
+            return lost[-1]
+        registry.register_map_output = register_then_crash
+        registry.invalidate_machine = observed_invalidate
+        expected = word_count(make_ctx(engine, disaggregated=False)[0])
+        assert word_count(ctx) == expected
+        assert ctx.engine.machine_is_dead(1)
+        # The crash landed while the word count's shuffle was registered.
+        assert live_shuffles
+        assert lost == [[]]
 
     def test_dfs_output_lands_on_storage_replicas(self, engine):
         ctx, service = make_ctx(engine)

@@ -14,10 +14,12 @@ import random
 import pytest
 
 from repro.api import AnalyticsContext
+from repro.api.plan import ShuffleOutput
 from repro.cluster import hdd_cluster
 from repro.config import MB
 from repro.datamodel import Partition
-from repro.errors import PlanError
+from repro.errors import (ExecutionError, Interrupted, PlanError,
+                          TaskFailedError)
 from repro.faults import (DiskFault, FaultInjector, FaultPlan, MachineCrash,
                           RecoveryPolicy, TransientSlowdown, random_plan)
 from repro.metrics.events import FaultEventRecord
@@ -251,3 +253,158 @@ class TestSpeculation:
         # The losing attempt of each race was killed, not failed.
         assert all(a["outcome"] in ("success", "killed")
                    for a in speculative)
+
+
+def wrap_task_body(ctx, body):
+    """Run every task attempt through ``body(work, machine, run)``,
+    where ``run`` is the engine's own task body."""
+    run = ctx.engine.run_task_on_machine
+    ctx.engine.run_task_on_machine = \
+        lambda work, machine: body(work, machine, run)
+
+
+def observe_registrations(ctx):
+    """The sim times of every ``register_map_output`` call."""
+    registry = ctx.engine.map_outputs
+    register = registry.register_map_output
+    times = []
+
+    def observed(*args):
+        times.append(ctx.engine.env.now)
+        register(*args)
+    registry.register_map_output = observed
+    return times
+
+
+def sleep_through_interrupts(env, seconds):
+    """Wait ``seconds``, ignoring interrupts: an attempt that outlives
+    its job."""
+    wake = env.now + seconds
+    while env.now < wake:
+        try:
+            yield env.timeout(wake - env.now)
+        except Interrupted:
+            pass
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestAttemptsOutlivingTheirJob:
+    """A job's map outputs and task states end with it; an attempt still
+    running then may finish, but it publishes nothing."""
+
+    def test_late_speculation_loser_registers_nothing(self, engine):
+        ctx = AnalyticsContext(hdd_cluster(num_machines=4), engine=engine)
+        env, pool = ctx.engine.env, ctx.engine.pool
+        held = []
+
+        def body(work, machine, run):
+            out_disk = yield from run(work, machine)
+            descriptor = work.descriptor
+            if isinstance(descriptor.output, ShuffleOutput) and not held:
+                # Finished, but not yet committed: a copy elsewhere wins
+                # the race and the job ends while this loser still runs.
+                held.append(descriptor.task_id)
+                assert pool.speculate(descriptor.task_id)
+                yield from sleep_through_interrupts(env, 100.0)
+            return out_disk
+
+        wrap_task_body(ctx, body)
+        registered = observe_registrations(ctx)
+        assert word_count(ctx) == word_count(
+            AnalyticsContext(hdd_cluster(num_machines=4), engine=engine))
+        job_end = env.now
+        # The loser's state and the job's map outputs stay while it runs.
+        assert list(pool._states) == held
+        assert list(ctx.engine.map_outputs.shuffle_ids())
+        env.run(until=job_end + 200.0)
+        assert registered and max(registered) <= job_end
+        assert pool._states == {}
+        assert list(ctx.engine.map_outputs.shuffle_ids()) == []
+
+    def test_failed_jobs_late_attempt_commits_nothing(self, engine):
+        ctx = AnalyticsContext(hdd_cluster(num_machines=4), engine=engine)
+        env = ctx.engine.env
+
+        def body(work, machine, run):
+            descriptor = work.descriptor
+            if isinstance(descriptor.output, ShuffleOutput):
+                if descriptor.index == 0:
+                    raise ExecutionError("injected map failure")
+                if descriptor.index == 1:
+                    # Still running when map 0 runs out of attempts.
+                    yield env.timeout(100.0)
+            return (yield from run(work, machine))
+
+        wrap_task_body(ctx, body)
+        registered = observe_registrations(ctx)
+        with pytest.raises(TaskFailedError):
+            word_count(ctx)
+        job_end = env.now
+        assert job_end < 100.0
+        env.run(until=200.0)
+        late = [a.attrs for a in ctx.metrics.attempts if a.end > job_end]
+        assert [(a["task_index"], a["outcome"]) for a in late] == \
+            [(1, "success")]
+        assert registered and max(registered) <= job_end
+        assert ctx.engine.pool._states == {}
+        assert list(ctx.engine.map_outputs.shuffle_ids()) == []
+
+    def test_failed_jobs_late_retry_still_reads_its_shuffle(self, engine):
+        ctx = AnalyticsContext(hdd_cluster(num_machines=4), engine=engine)
+        env = ctx.engine.env
+        tries = {}
+
+        def body(work, machine, run):
+            descriptor = work.descriptor
+            if not isinstance(descriptor.output, ShuffleOutput):
+                tries[descriptor.index] = tries.get(descriptor.index, 0) + 1
+                if descriptor.index == 0:
+                    raise ExecutionError("injected reduce failure")
+                if descriptor.index == 1 and tries[1] == 1:
+                    # Fails after the job did, so its retry is
+                    # dispatched, and resolves its input, after the end.
+                    yield env.timeout(10.0)
+                    raise ExecutionError("injected late failure")
+            return (yield from run(work, machine))
+
+        wrap_task_body(ctx, body)
+        with pytest.raises(TaskFailedError):
+            word_count(ctx)
+        job_end = env.now
+        env.run(until=200.0)
+        retried = [a.attrs["outcome"] for a in ctx.metrics.attempts
+                   if a.attrs["task_index"] == 1 and a.end > job_end
+                   and a.attrs["stage_id"] == 0]
+        # The retry reads the map outputs as before the job ended, and
+        # finishes, but what it collected is not kept.
+        assert retried == ["failed", "success"]
+        assert ctx.engine._task_outputs == {}
+        assert ctx.engine.pool._states == {}
+        assert list(ctx.engine.map_outputs.shuffle_ids()) == []
+
+    def test_failed_job_releases_in_memory_shuffle(self, engine):
+        cluster = hdd_cluster(num_machines=4)
+        ctx = AnalyticsContext(cluster, engine=engine,
+                               shuffle_in_memory=True)
+        before = [machine.memory.used for machine in cluster.machines]
+
+        def body(work, machine, run):
+            if not isinstance(work.descriptor.output, ShuffleOutput):
+                raise ExecutionError("injected reduce failure")
+            return (yield from run(work, machine))
+
+        wrap_task_body(ctx, body)
+        note = ctx.engine.note_in_memory_shuffle
+        noted = []
+
+        def observed(job_id, machine, nbytes):
+            noted.append(nbytes)
+            note(job_id, machine, nbytes)
+        ctx.engine.note_in_memory_shuffle = observed
+        with pytest.raises(TaskFailedError):
+            word_count(ctx)
+        # The map stage parked its buckets in worker memory; the failed
+        # job must hand every byte back.
+        assert len(noted) == 8 and sum(noted) > 1.0
+        assert [machine.memory.used for machine in cluster.machines] == \
+            pytest.approx(before, abs=1.0)

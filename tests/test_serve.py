@@ -279,6 +279,15 @@ class TestJobServer:
         return server, server.run()
 
     @pytest.mark.parametrize("engine", ["spark", "monospark"])
+    def test_served_jobs_leave_no_shuffle_or_task_state(self, engine):
+        # Shuffles are intra-job: once every driver has ended, neither
+        # the map-output registry nor the task pool holds anything.
+        server, report = self._serve_once(engine)
+        assert report.total_completed > 0
+        assert list(server.engine.map_outputs.shuffle_ids()) == []
+        assert server.engine.pool._states == {}
+
+    @pytest.mark.parametrize("engine", ["spark", "monospark"])
     def test_report_byte_identical_across_runs(self, engine):
         _, first = self._serve_once(engine)
         _, second = self._serve_once(engine)
@@ -412,6 +421,21 @@ class TestExhaustedRetries:
         assert ctx.metrics.attempt_outcome_counts().get("fetch-failed")
         assert ctx.engine._map_tasks == {}
         assert ctx.engine._recovering == {}
+        # Nor does any map output or task state.
+        assert list(ctx.engine.map_outputs.shuffle_ids()) == []
+        assert ctx.engine.pool._states == {}
+
+    def test_crash_after_every_job_touches_no_map_output(self):
+        ctx, server = self.serve(1)
+        server.run()
+        registry = ctx.engine.map_outputs
+        dropped = []
+        drop_map = registry._drop_map
+        registry._drop_map = lambda *key: dropped.append(key) or \
+            drop_map(*key)
+        assert registry.invalidate_machine(0) == []
+        assert registry.invalidate_disk(0, 0) == []
+        assert dropped == []
 
     def test_failed_job_spans_close(self, tmp_path):
         # A failed job's span and its failed stage's span close at the

@@ -104,6 +104,15 @@ class TestJsonlRoundTrip:
         assert sorted(line["attrs"]["disk_index"] for line in disk_lines) \
             == sorted(record.disk_index for record in ctx.metrics.monotasks
                       if record.resource == DISK)
+        # A loaded capsule reads the index back as an attr; its spans
+        # serialize exactly as the live records do.
+        live = [s for s in ctx.metrics.spans if s.kind == SPAN_MONOTASK]
+        loaded = [s for s in Capsule.load(path).spans
+                  if s.kind == SPAN_MONOTASK]
+        assert [s.attrs.get("disk_index") for s in loaded] == \
+            [s.disk_index for s in live]
+        assert [span_to_json(s) for s in loaded] == \
+            [span_to_json(s) for s in live]
 
     def test_closed_sink_drops_silently(self, tmp_path):
         path = str(tmp_path / "run.capsule")
@@ -169,15 +178,17 @@ class TestMonotaskLeafSpans:
             assert record.name == record.phase
             assert record.span_id > 0 and record.parent_id is not None
 
-    def test_only_disk_records_own_an_attrs_dict(self):
+    def test_records_share_one_empty_attrs(self):
+        # A disk monotask keeps its disk index in the field alone; only
+        # its serialized line spells it as an attr.
         records = run_shuffle().metrics.monotasks
-        compute = [r for r in records if r.phase == PHASE_COMPUTE]
-        assert len(compute) >= 2
-        assert compute[0].attrs is compute[1].attrs
-        assert compute[0].attrs == {}
+        assert len(records) >= 2
+        assert all(r.attrs is records[0].attrs for r in records)
+        assert records[0].attrs == {}
         disk = [r for r in records if r.disk_index is not None]
         assert disk
-        assert all(r.attrs == {"disk_index": r.disk_index} for r in disk)
+        assert all(span_to_json(r)["attrs"] == {"disk_index": r.disk_index}
+                   for r in disk)
 
     def test_untraced_record_is_not_a_span(self):
         metrics = MetricsCollector()
