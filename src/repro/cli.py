@@ -901,28 +901,29 @@ def _cmd_obs(args) -> int:
           f"{'off' if args.no_monitor else 'on'}")
 
     if args.action == "watch":
+        seen = 0
+
         def follow():
-            seen = 0
-            while True:
-                yield env.timeout(INTERVAL_S)
-                transitions = obs.alert_timeline()
-                for record in transitions[seen:]:
-                    exemplar = (f"  exemplar={record.trace_id}/"
-                                f"{record.span_id}"
-                                if record.span_id >= 0 else "")
-                    value = ("" if record.value != record.value
-                             else f" value={record.value:.3f}")
-                    print(f"  t={record.at:7.2f}  {record.kind:9s} "
-                          f"{record.rule}{{{record.labels}}}"
-                          f"{value}{exemplar}")
-                seen = len(transitions)
-        env.process(follow())
+            nonlocal seen
+            transitions = obs.alert_timeline()
+            for record in transitions[seen:]:
+                exemplar = (f"  exemplar={record.trace_id}/"
+                            f"{record.span_id}"
+                            if record.span_id >= 0 else "")
+                value = ("" if record.value != record.value
+                         else f" value={record.value:.3f}")
+                print(f"  t={record.at:7.2f}  {record.kind:9s} "
+                      f"{record.rule}{{{record.labels}}}"
+                      f"{value}{exemplar}")
+            seen = len(transitions)
+        watcher = env.every(INTERVAL_S, follow, first=False)
 
     report = server.run()
     if recorder is not None:
         recorder.finalize(report=report, telemetry=obs.registry)
         recorder.close()
     if args.action == "watch":
+        watcher.cancel()
         firing = obs.firing()
         names = [f"{a.rule}{{{_labels_str(a)}}}" for a in firing]
         print(f"still firing at drain: {', '.join(names) or 'none'}")

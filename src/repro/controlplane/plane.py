@@ -261,17 +261,13 @@ class ControlPlane(JobServer):
         except ReproError:
             self.store.write_failures += 1
 
-    def _sweep(self):
-        while True:
-            yield self.env.timeout(CHECKPOINT_INTERVAL_S)
-            if self.drained:
-                return
-            for driver in self.drivers:
-                if driver.down or driver.partitioned:
-                    continue
-                for tenant in sorted(self.assignment):
-                    if self.assignment[tenant] == driver.driver_id:
-                        self.checkpoint_tenant(driver, tenant)
+    def _sweep(self) -> None:
+        for driver in self.drivers:
+            if driver.down or driver.partitioned:
+                continue
+            for tenant in sorted(self.assignment):
+                if self.assignment[tenant] == driver.driver_id:
+                    self.checkpoint_tenant(driver, tenant)
 
     # -- membership, election, failover ----------------------------------------------
 
@@ -283,21 +279,17 @@ class ControlPlane(JobServer):
             return True
         return not (listener.partitioned or sender.partitioned)
 
-    def _membership(self):
-        while True:
-            yield self.env.timeout(HEARTBEAT_INTERVAL_S)
-            if self.drained:
-                return
-            now = self.env.now
-            for d in self.drivers:
-                if d.down:
-                    continue
-                for peer in self.drivers:
-                    if self._reachable(d, peer):
-                        d.last_heard[peer.driver_id] = now
-            for d in self.drivers:
-                if not d.down:
-                    self._evaluate_view(d, now)
+    def _membership(self) -> None:
+        now = self.env.now
+        for d in self.drivers:
+            if d.down:
+                continue
+            for peer in self.drivers:
+                if self._reachable(d, peer):
+                    d.last_heard[peer.driver_id] = now
+        for d in self.drivers:
+            if not d.down:
+                self._evaluate_view(d, now)
 
     def _evaluate_view(self, d: DriverReplica, now: float) -> None:
         suspected = set()
@@ -632,16 +624,18 @@ class ControlPlane(JobServer):
 
     def _start(self) -> None:
         """Announce the leader, start the replicas and the membership
-        loop, and the checkpoint sweep when checkpointing is on."""
+        service, and the checkpoint sweep when checkpointing is on."""
         self.record_driver_event("leader", self.leader_id,
                                  detail="initial (highest id)")
         for driver in self.drivers:
             driver.last_heard = {peer: self.env.now
                                  for peer in range(self.num_drivers)}
         super()._start()
-        self.env.process(self._membership())
+        self._services.append(self.env.every(
+            HEARTBEAT_INTERVAL_S, self._membership, first=False))
         if self.store is not None:
-            self.env.process(self._sweep())
+            self._services.append(self.env.every(
+                CHECKPOINT_INTERVAL_S, self._sweep, first=False))
 
     def _register_gauges(self, registry) -> None:
         """Nothing more: ``engine.register_telemetry`` already chained

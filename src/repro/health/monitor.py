@@ -1,6 +1,6 @@
 """The health monitor: periodic heartbeats, detection, exclusion.
 
-One simulation process ticks every ``policy.interval_s`` seconds.  Each
+One ``env.every`` service ticks every ``policy.interval_s`` seconds.  Each
 tick it (1) notes heartbeat transitions (a crashed machine misses its
 heartbeat), (2) folds newly finished records into the engine's rate
 estimator, (3) runs the median test per resource to find suspects,
@@ -12,16 +12,16 @@ and :meth:`reinstate_machine`.  Every decision is emitted as a
 :class:`~repro.metrics.events.HealthEventRecord`, so the exclusion
 timeline is part of the byte-identical trace.
 
-The monitor is bounded: give ``start()`` a horizon (batch runs) or call
-``stop()`` when serving completes, so the event queue drains and
-``env.run()``-to-exhaustion tests still terminate.
+Call ``stop()`` when serving completes (a job server does so when it
+drains), so ``env.run()``-to-exhaustion tests still terminate.
 """
 
 from __future__ import annotations
 
 from statistics import median
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.health.blacklist import Blacklist
 from repro.health.policy import HealthPolicy
 from repro.metrics.events import HealthEventRecord
@@ -61,34 +61,22 @@ class HealthMonitor:
             datasvc.attach_health(self)
         self._last_counts: Dict[int, int] = {}
         self._missed: set = set()
-        self._stopped = False
-        self._started = False
+        self._process = None
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def start(self, horizon_s: Optional[float] = None) -> None:
-        """Begin ticking; with a horizon the monitor self-terminates so
-        a plain ``env.run()`` still drains the event queue."""
-        if self._started:
-            return
-        self._started = True
-        self.env.process(self._run(horizon_s))
+    def start(self) -> None:
+        """Begin ticking; a no-op while ticking, an error once stopped."""
+        if self._process is None:
+            self._process = self.env.every(self.policy.interval_s,
+                                           self._tick, first=False)
+        elif not self._process.is_alive:
+            raise SimulationError("a stopped monitor cannot restart")
 
     def stop(self) -> None:
-        """Stop at the next tick boundary (idempotent)."""
-        self._stopped = True
-
-    def _run(self, horizon_s: Optional[float]) -> Generator:
-        deadline = None if horizon_s is None else self.env.now + horizon_s
-        interval = self.policy.interval_s
-        while not self._stopped:
-            if deadline is not None \
-                    and self.env.now + interval > deadline + 1e-9:
-                return
-            yield self.env.timeout(interval)
-            if self._stopped:
-                return
-            self._tick()
+        """Stop ticking now (idempotent)."""
+        if self._process is not None:
+            self._process.cancel()
 
     # -- one tick ------------------------------------------------------------------
 

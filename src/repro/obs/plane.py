@@ -112,7 +112,7 @@ class ObservabilityPlane:
         self._overhead_wall_s = 0.0
         self._sim_start: Optional[float] = None
         self.ticks = 0
-        self._running = False
+        self._process = None
         self._pending_rules: List[object] = []
 
     # -- wiring --------------------------------------------------------------------
@@ -302,27 +302,24 @@ class ObservabilityPlane:
     # -- the tick ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin the evaluation tick (idempotent; needs attach first)."""
+        """Begin the tick (needs attach); a no-op while ticking, an error
+        once stopped."""
         if self.engine is None:
             raise ObsError("attach() the plane to an engine before "
                            "start()")
-        if self._running:
-            return
-        self._running = True
-        if self._sim_start is None:
+        if self._process is None:
             self._sim_start = self.env.now
-        self.env.process(self._run())
+            self._process = self.env.every(INTERVAL_S, self._tick)
+        elif not self._process.is_alive:
+            raise SimulationError("a stopped plane cannot restart")
 
     def stop(self) -> None:
-        """Stop after the current tick (idempotent)."""
-        self._running = False
+        """Stop ticking now (idempotent)."""
+        if self._process is not None:
+            self._process.cancel()
 
-    def _run(self):
-        while self._running:
-            self._tick(self.env.now)
-            yield self.env.timeout(INTERVAL_S)
-
-    def _tick(self, now: float) -> None:
+    def _tick(self) -> None:
+        now = self.env.now
         wall_start = time.perf_counter()
         self._refresh_relrates(now)
         self.registry.sample(now)

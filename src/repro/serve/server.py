@@ -35,7 +35,7 @@ from repro.serve.replica import DriverReplica
 from repro.serve.scheduler import JobScheduler
 from repro.serve.slo import ServeReport
 from repro.serve.workload import JobTemplate
-from repro.simulator import Event
+from repro.simulator import Event, Process
 from repro.simulator.rng import RngStreams
 
 __all__ = ["Tenant", "JobRequest", "JobServer"]
@@ -114,8 +114,10 @@ class JobServer:
     #: First component of every workload source's rng stream name.
     stream_prefix = "serve"
     #: Whether the dispatchers exit once the server drains, so that a
-    #: finished run leaves no kernel process waiting.  A control plane's
-    #: membership loop waits on regardless, and so do its replicas.
+    #: finished run leaves no kernel process waiting.  Either way keeps
+    #: a pinned digest: retiring a control plane's replicas would add
+    #: one event to tenants-chaos, and cancelling these dispatchers
+    #: instead of retiring them would drop one from serve-bare.
     retire_on_drain = True
 
     def __init__(self, ctx: AnalyticsContext,
@@ -167,6 +169,7 @@ class JobServer:
         #: Fires when the server has drained; exists only during run().
         self._all_done: Optional[Event] = None
         self._ran = False
+        self._services: List[Process] = []  # Cancelled on drain.
 
     @property
     def scheduler(self) -> JobScheduler:
@@ -414,12 +417,11 @@ class JobServer:
         # The server and its drivers reference each other, so an event
         # kept here would outlive the run as cyclic garbage.
         self._all_done = None
-        if self.health is not None:
-            self.health.stop()
-        if self.telemetry is not None:
-            self.telemetry.stop()
-        if self.obs is not None:
-            self.obs.stop()
+        for service in (self.health, self.telemetry, self.obs):
+            if service is not None:
+                service.stop()
+        for process in self._services:
+            process.cancel()
         report = ServeReport.from_metrics(
             self.metrics, engine_name=self.engine.name,
             tenants=sorted(self.tenants),

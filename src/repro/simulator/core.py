@@ -12,7 +12,7 @@ kernel small enough to reason about and test exhaustively:
 * :class:`Timeout` -- an event that fires after a virtual delay.
 * :class:`Process` -- a generator that yields events; it resumes when the
   yielded event fires and is itself an event that fires when the generator
-  returns.
+  returns.  :meth:`Environment.every` runs a periodic service as one.
 * :class:`AllOf` / :class:`AnyOf` -- barrier and race combinators.
 
 Determinism: events scheduled for the same time fire in scheduling order
@@ -228,6 +228,19 @@ class Process(Event):
         """Throw :class:`Interrupted` into the process at the current time."""
         Interruption(self, cause)
 
+    def cancel(self) -> None:
+        """End the process where it waits, scheduling nothing: close the
+        generator now and leave the process processed with value None."""
+        if self.triggered:
+            return
+        if self is self.env._active_process or self.callbacks:
+            raise SimulationError(f"cannot cancel {self!r}: it is running "
+                                  f"or awaited")
+        if self._target is not None and self._target.callbacks:
+            self._target.callbacks.remove(self._resume)
+        self._target = self._value = self.callbacks = None
+        self._generator.close()
+
     def _resume_interrupt(self, event: Event) -> None:
         if self.triggered:
             return  # Completed before the interruption was delivered.
@@ -253,20 +266,20 @@ class Process(Event):
                 try:
                     next_target = self._generator.send(event._value)
                 except StopIteration as exc:
-                    self._finish_ok(exc.value)
+                    self._finish(True, exc.value)
                     break
                 except BaseException as exc:
-                    self._finish_fail(exc)
+                    self._finish(False, exc)
                     break
             else:
                 event.defused = True
                 try:
                     next_target = self._generator.throw(event._value)
                 except StopIteration as exc:
-                    self._finish_ok(exc.value)
+                    self._finish(True, exc.value)
                     break
                 except BaseException as exc:
-                    self._finish_fail(exc)
+                    self._finish(False, exc)
                     break
 
             if not isinstance(next_target, Event):
@@ -286,16 +299,12 @@ class Process(Event):
             break
         self.env._active_process = None
 
-    def _finish_ok(self, value: Any) -> None:
+    def _finish(self, ok: bool, value: Any) -> None:
+        if self.callbacks is None:
+            return  # Cancelled before this wakeup (or its start) came.
         self._target = None
-        self._ok = True
+        self._ok = ok
         self._value = value
-        self.env._enqueue(self)
-
-    def _finish_fail(self, exc: BaseException) -> None:
-        self._target = None
-        self._ok = False
-        self._value = exc
         self.env._enqueue(self)
 
 
@@ -421,6 +430,19 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a process driving ``generator``."""
         return Process(self, generator)
+
+    def every(self, interval: float, tick: Callable[[], Any],
+              first: bool = True) -> Process:
+        """A periodic service: call ``tick()`` at its start hop if
+        ``first``, then every ``interval`` (> 0) seconds, until cancelled."""
+
+        def service() -> Generator:
+            if first:
+                tick()
+            while True:
+                yield Timeout(self, interval)
+                tick()
+        return Process(self, service())
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Barrier: fires when every event has fired (fails fast)."""

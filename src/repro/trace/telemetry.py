@@ -264,9 +264,9 @@ class TelemetrySampler:
 
     Start it before ``env.run`` (or any time mid-run); it snapshots
     immediately, then every ``interval_s`` until stopped.  Like the
-    health monitor's tick loop, it schedules a timeout per tick, so runs
-    driven by ``env.run(until=...)`` simply stop observing at ``until``;
-    call :meth:`stop` before an open-ended ``env.run()`` drain.
+    health monitor, it is an ``env.every`` service: runs driven by
+    ``env.run(until=...)`` simply stop observing at ``until``; call
+    :meth:`stop` before an open-ended ``env.run()`` drain.
     """
 
     def __init__(self, env: Environment, registry: TelemetryRegistry,
@@ -277,21 +277,17 @@ class TelemetrySampler:
         self.env = env
         self.registry = registry
         self.interval_s = interval_s
-        self._running = False
         self._process = None
 
     def start(self) -> None:
-        """Begin sampling (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self._process = self.env.process(self._run())
+        """Begin sampling; a no-op while sampling, an error once stopped."""
+        if self._process is None:
+            self._process = self.env.every(
+                self.interval_s, lambda: self.registry.sample(self.env.now))
+        elif not self._process.is_alive:
+            raise SimulationError("a stopped sampler cannot restart")
 
     def stop(self) -> None:
-        """Stop sampling after the current tick (idempotent)."""
-        self._running = False
-
-    def _run(self):
-        while self._running:
-            self.registry.sample(self.env.now)
-            yield self.env.timeout(self.interval_s)
+        """Stop sampling now (idempotent)."""
+        if self._process is not None:
+            self._process.cancel()

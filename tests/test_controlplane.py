@@ -234,6 +234,19 @@ class TestCrashFailover:
         # ring gives it afterwards; nothing was lost either way.
         assert report.counters["tenants_reassigned"] >= 1
 
+    def test_drain_leaves_only_checkpoint_writes_pending(self):
+        ctx, plane = make_plane(num_drivers=2, horizon=40.0)
+        plan = FaultPlan([DriverCrash(at=20.0, driver_id=1)])
+        FaultInjector(ctx.engine, plan).start()
+        plane.run()
+        assert len(plane._services) == 2
+        assert not any(service.is_alive for service in plane._services)
+        env = ctx.engine.env
+        waiting = [callback.__self__._generator.gi_code.co_name
+                   for _, _, event in list(env._heap) + list(env._immediate)
+                   for callback in event.callbacks]
+        assert set(waiting) <= {"_write_checkpoint"}
+
     def test_single_driver_plane_serves(self):
         ctx, plane = make_plane(num_drivers=1, tenants=2, horizon=15.0)
         report = plane.run()
@@ -311,10 +324,12 @@ class TestReport:
             plane.submit(template, tenant="tenant0")
 
     def test_timers_exit_after_drain(self):
-        # Membership and the checkpoint sweep stop at their first wake
-        # after run() returns, so a later env.run() drains the queue.
+        # Membership and the checkpoint sweep are cancelled as run()
+        # returns, with no extra env.run(); a later one drains the queue.
         ctx, plane = make_plane(num_drivers=2, tenants=2, horizon=10.0)
         plane.run()
+        assert len(plane._services) == 2
+        assert not any(service.is_alive for service in plane._services)
         env = ctx.engine.env
         env.run(until=env.now + 100.0)
         assert env.queue_size == 0

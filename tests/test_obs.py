@@ -7,7 +7,7 @@ import pytest
 
 from repro.api.context import AnalyticsContext
 from repro.cluster import hdd_cluster
-from repro.errors import ObsError
+from repro.errors import ObsError, SimulationError
 from repro.faults import FaultInjector
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import (AlertEventRecord, DriverEventRecord,
@@ -464,6 +464,23 @@ class TestServingIntegration:
         server_env.run(until=server_env.timeout(3.0))
         obs.stop()
         assert [t.rule for t in obs.alert_timeline()] == ["always"]
+
+    def test_stopped_plane_stays_stopped(self):
+        # A restart must not run a second tick loop beside the first,
+        # which would evaluate every later instant twice.
+        cluster = hdd_cluster(num_machines=2, num_disks=1, seed=0)
+        ctx = AnalyticsContext(cluster, engine="monospark")
+        obs = ObservabilityPlane()
+        obs.attach(ctx.engine)
+        obs.start()
+        obs.start()  # a no-op while ticking
+        env = ctx.engine.env
+        env.run(until=2.5)
+        obs.stop()
+        with pytest.raises(SimulationError, match="restart"):
+            obs.start()
+        env.run(until=10.5)
+        assert obs.ticks == 3
 
 
 class TestChromeTraceInstants:

@@ -10,12 +10,15 @@ from repro.cluster import hdd_cluster
 from repro.errors import ConfigError, PlanError, SimulationError
 from repro.faults import (FaultInjector, FaultPlan, MachineCrash,
                           RecoveryPolicy, random_plan)
+from repro.health import HealthMonitor, HealthPolicy
+from repro.obs import ObservabilityPlane
 from repro.serve import (AdmissionController, CostEstimator,
                          DeadlineScheduler, JobServer, PoissonArrivals,
                          BurstyArrivals, TraceArrivals, WeightedFairScheduler,
                          instantiate_plan, make_scheduler, ml_template,
                          sort_template, wordcount_template)
 from repro.simulator.rng import RngStreams
+from repro.trace import TelemetryRegistry, TelemetrySampler
 from repro.trace.spans import SPAN_JOB, SPAN_STAGE, span_to_json
 from repro.xray import Capsule, RunRecorder
 
@@ -286,6 +289,26 @@ class TestJobServer:
         assert report.total_completed > 0
         assert list(server.engine.map_outputs.shuffle_ids()) == []
         assert server.engine.pool._states == {}
+
+    def test_drain_leaves_no_service_pending(self):
+        # Health, telemetry and obs are cancelled as run() returns: their
+        # last wakeups stay queued but carry no callback.
+        ctx = make_ctx("monospark")
+        health = HealthMonitor(ctx.engine, HealthPolicy())
+        telemetry = TelemetrySampler(ctx.engine.env, TelemetryRegistry())
+        obs = ObservabilityPlane()
+        server = JobServer(ctx, seed=1, health=health, telemetry=telemetry,
+                           obs=obs)
+        server.add_tenant("analytics")
+        server.add_workload("analytics", small_wc(ctx),
+                            TraceArrivals([1.0, 4.0, 7.0]))
+        assert server.run().total_completed == 3
+        env = ctx.engine.env
+        queued = [event for _, _, event in list(env._heap)
+                  + list(env._immediate)]
+        assert queued and [e for e in queued if e.callbacks] == []
+        for service in (health, telemetry, obs):
+            assert not service._process.is_alive
 
     @pytest.mark.parametrize("engine", ["spark", "monospark"])
     def test_report_byte_identical_across_runs(self, engine):

@@ -327,3 +327,180 @@ def test_nested_run_keeps_collector_paused(collector):
     assert seen == [False]  # back in the outer run()
     assert env.now == 3.0
     assert gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# Process.cancel and Environment.every
+# ---------------------------------------------------------------------------
+
+def test_cancel_parked_process_schedules_nothing():
+    env = Environment()
+    log = []
+
+    def sleeper():
+        yield env.timeout(5.0)
+        log.append("woke")
+
+    proc = env.process(sleeper())
+    env.run(until=1.0)
+    before = env.events_scheduled
+    proc.cancel()
+    assert env.events_scheduled == before
+    assert not proc.is_alive and proc.processed and proc.value is None
+    assert proc.target is None
+    # The old wakeup stays queued but resumes nothing.
+    assert env.queue_size == 1
+    env.run()
+    assert log == [] and env.now == 5.0
+    assert env.events_scheduled == before
+
+
+def test_cancel_runs_the_generators_finally_now():
+    env = Environment()
+    log = []
+
+    def guarded():
+        try:
+            yield env.timeout(5.0)
+        finally:
+            log.append(env.now)
+
+    proc = env.process(guarded())
+    env.run(until=2.0)
+    proc.cancel()
+    assert log == [2.0]
+
+
+def test_cancel_before_the_start_hop():
+    env = Environment()
+    log = []
+
+    def never():
+        log.append("started")
+        yield env.timeout(1.0)
+
+    proc = env.process(never())
+    before = env.events_scheduled
+    proc.cancel()
+    assert not proc.is_alive
+    env.run()
+    assert log == [] and env.events_scheduled == before
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_cancel_while_its_wakeup_is_delivered(ok):
+    # Both wait on one gate; the first woken cancels the second, whose
+    # wakeup is already on its way and finds the generator closed.
+    env = Environment()
+    gate = env.event()
+    log = []
+
+    def canceller():
+        try:
+            yield gate
+        finally:
+            victim.cancel()
+
+    def waiter():
+        yield gate
+        log.append("woke")
+
+    env.process(canceller()).defused = True
+    victim = env.process(waiter())
+    env.run()
+    before = env.events_scheduled
+    if ok:
+        gate.succeed()
+    else:
+        gate.fail(ValueError("gate"))
+    env.run()
+    assert log == [] and not victim.is_alive
+    assert env.events_scheduled == before + 2  # the gate, the canceller
+
+
+def test_cancel_awaited_process_rejected():
+    env = Environment()
+
+    def child():
+        yield env.timeout(5.0)
+
+    proc = env.process(child())
+
+    def parent():
+        yield proc
+
+    env.process(parent())
+    env.run(until=1.0)
+    with pytest.raises(SimulationError, match="awaited"):
+        proc.cancel()
+    assert proc.is_alive
+
+
+def test_self_cancel_rejected():
+    env = Environment()
+    caught = []
+
+    def selfish():
+        yield env.timeout(1.0)
+        try:
+            proc.cancel()
+        except SimulationError as exc:
+            caught.append(str(exc))
+        yield env.timeout(1.0)
+
+    proc = env.process(selfish())
+    env.run()
+    assert caught and "running" in caught[0]
+    assert proc.ok and env.now == 2.0
+
+
+def test_cancel_finished_process_is_a_noop():
+    env = Environment()
+
+    def quick():
+        yield env.timeout(1.0)
+        return "done"
+
+    proc = env.process(quick())
+    env.run()
+    before = env.events_scheduled
+    proc.cancel()
+    assert proc.value == "done" and env.events_scheduled == before
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_every_matches_the_loop_it_replaces(first):
+    # Each service ticks at the same instants as its while loop and
+    # consumes the same sequence numbers, so a same-instant rival
+    # interleaves with it exactly as before.
+    def trace(use_every):
+        env = Environment()
+        log = []
+
+        def tick():
+            log.append(("tick", env.now))
+
+        def loop():
+            if first:
+                tick()
+            while True:
+                yield env.timeout(2.0)
+                tick()
+
+        def rival():
+            while env.now < 6.0:
+                log.append(("rival", env.now))
+                yield env.timeout(1.0)
+
+        service = (env.every(2.0, tick, first=first) if use_every
+                   else env.process(loop()))
+        env.process(rival())
+        env.run(until=7.0)
+        if use_every:
+            service.cancel()
+        return log, env.events_scheduled
+
+    log, scheduled = trace(use_every=True)
+    assert (log, scheduled) == trace(use_every=False)
+    ticks = [at for kind, at in log if kind == "tick"]
+    assert ticks == ([0.0, 2.0, 4.0, 6.0] if first else [2.0, 4.0, 6.0])

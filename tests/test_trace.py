@@ -20,6 +20,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import (CPU, DISK, NETWORK, PHASE_COMPUTE,
                                   PHASE_INPUT_READ, PHASE_SHUFFLE_READ,
                                   MonotaskRecord)
+from repro.simulator import Environment
 from repro.trace import (SPAN_ATTEMPT, SPAN_JOB, SPAN_MONOTASK, SPAN_STAGE,
                          TelemetryRegistry, TelemetrySampler, critical_path,
                          link_to_json, render_prometheus, span_to_json)
@@ -365,6 +366,24 @@ class TestPrometheusExposition:
     def test_bad_interval_rejected(self):
         with pytest.raises(SimulationError, match="interval"):
             TelemetrySampler(None, TelemetryRegistry(), interval_s=0.0)
+
+    def test_stopped_sampler_stays_stopped(self):
+        # A restart must not run a second loop beside the first (that
+        # took 20 samples by t=10.5 where a restart would take 11).
+        env = Environment()
+        registry = TelemetryRegistry()
+        ticks = []
+        registry.gauge("repro_clock", "Sampler tick probe",
+                       lambda: ticks.append(env.now) or env.now)
+        sampler = TelemetrySampler(env, registry, interval_s=1.0)
+        sampler.start()
+        env.run(until=2.5)
+        sampler.stop()
+        with pytest.raises(SimulationError, match="restart"):
+            sampler.start()
+        env.run(until=10.5)
+        assert ticks == [0.0, 1.0, 2.0]
+        sampler.stop()  # idempotent
 
 
 def assert_well_formed(metrics, job_id):
