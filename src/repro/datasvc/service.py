@@ -513,8 +513,9 @@ class DataService:
                     from_span_id=read.span_id, to_span_id=span_id,
                     kind=LINK_DATASVC_READ, trace_id=trace.trace_id,
                     at=self.env.now,
-                    detail=(f"datasvc read on node {node.index} -> "
-                            f"fetch on machine {dst_machine_id}")))
+                    detail=self._metrics.text(
+                        "datasvc read on node {} -> fetch on machine {}",
+                        node.index, dst_machine_id)))
             node.submit_disk(read)
             yield read.done
         if nbytes > 0:

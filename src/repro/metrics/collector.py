@@ -84,6 +84,24 @@ class MetricsCollector:
         #: type.  The observability plane and the capsule recorder
         #: subscribe here without per-call-site wiring.
         self._event_listeners: List = []
+        #: Shared link details and attempt names: (template, *args) ->
+        #: text, and text -> the one object of that value.
+        self._texts: Dict[object, str] = {}
+
+    def text(self, template: str, *args) -> str:
+        """``template.format(*args)``, one shared object per value.
+
+        Link details and attempt names repeat from job to job of a
+        stream; keyed by the formatting inputs, a repeat skips the
+        format too.
+        """
+        key = (template, *args)
+        text = self._texts.get(key)
+        if text is None:
+            text = template.format(*args)
+            text = self._texts.setdefault(text, text)
+            self._texts[key] = text
+        return text
 
     def add_event_listener(self, listener) -> None:
         """Subscribe ``listener(record)`` to event and serve records."""
@@ -190,7 +208,8 @@ class MetricsCollector:
                 from_span_id=trace.span_id, to_span_id=record.span_id,
                 kind=LINK_QUEUE_WAIT, trace_id=trace.trace_id,
                 at=record.start,
-                detail=f"{record.resource} queue {record.queue_s:.6f}s"))
+                detail=self.text("{} queue {:.6f}s", record.resource,
+                                 record.queue_s)))
 
     def record_event(self, event: Event) -> None:
         """Append one incident record to the event stream."""
@@ -249,7 +268,8 @@ class MetricsCollector:
                     from_span_id=parent_span.span_id,
                     to_span_id=span.span_id, kind=LINK_DAG_EDGE,
                     trace_id=trace_id, at=now,
-                    detail=f"stage {parent_stage} -> stage {stage_id}"))
+                    detail=self.text("stage {} -> stage {}", parent_stage,
+                                     stage_id)))
         return TraceContext(trace_id=trace_id, span_id=span.span_id,
                             parent_id=parent)
 
@@ -325,7 +345,8 @@ class MetricsCollector:
         span = self._open_span(SpanRecord(
             span_id=self.new_span_id(), trace_id=trace_id, parent_id=parent,
             kind=SPAN_ATTEMPT,
-            name=f"task {stage_id}.{task_index} attempt {attempt}",
+            name=self.text("task {}.{} attempt {}", stage_id, task_index,
+                           attempt),
             start=now, machine_id=machine_id,
             attrs={"job_id": job_id, "stage_id": stage_id,
                    "task_index": task_index, "attempt": attempt}))
@@ -343,7 +364,8 @@ class MetricsCollector:
             self.record_link(SpanLink(
                 from_span_id=previous.span_id, to_span_id=span.span_id,
                 kind=kind, trace_id=trace_id, at=now,
-                detail=cause or f"attempt {attempt} on machine {machine_id}"))
+                detail=cause or self.text("attempt {} on machine {}",
+                                          attempt, machine_id)))
         self._last_attempt_spans[key] = span
         return TraceContext(trace_id=trace_id, span_id=span.span_id,
                             parent_id=parent)

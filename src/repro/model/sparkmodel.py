@@ -24,6 +24,7 @@ Spark-style engine, reproducing the paper's negative results:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
@@ -172,15 +173,13 @@ def slot_share_stage_usage(metrics: MetricsCollector, cluster: Cluster,
             continue
         share = stage_slot_s / total_slot_s
         cpu_s = machine.cpu.tracker.busy_time(window_start, window_end)
-        disk_bytes = sum(
-            nbytes
-            for disk in machine.disks
-            for (when, nbytes, _kind) in disk.transfer_log
-            if window_start <= when <= window_end)
-        network_bytes = sum(
-            nbytes
-            for (when, nbytes, dst, _src) in machine.network.completion_log
-            if dst == machine_id and window_start <= when <= window_end)
+        # One left-to-right sum over the disks' windows, as a scan of
+        # each whole log in turn would add them.
+        disk_bytes = sum(chain.from_iterable(
+            disk.completed_bytes(window_start, window_end)
+            for disk in machine.disks))
+        network_bytes = sum(machine.network.delivered_bytes(
+            machine_id, window_start, window_end))
         estimate.cpu_s += cpu_s * share
         estimate.disk_bytes += disk_bytes * share
         estimate.network_bytes += network_bytes * share

@@ -272,9 +272,9 @@ class _MachineFetch:
                     from_span_id=read.span_id, to_span_id=fetch.span_id,
                     kind=LINK_SHUFFLE_FETCH, trace_id=fetch.trace.trace_id,
                     at=fetch.env.now,
-                    detail=(f"serve read on machine {machine_id} -> "
-                            f"fetch on machine "
-                            f"{fetch.worker.machine.machine_id}")))
+                    detail=engine.metrics.text(
+                        "serve read on machine {} -> fetch on machine {}",
+                        machine_id, fetch.worker.machine.machine_id)))
             remote_worker.submit_ready(read)
             reads.append(read.done)
         if reads:

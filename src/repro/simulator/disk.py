@@ -19,8 +19,10 @@ Both expose ``submit(nbytes, kind) -> Event`` and a :class:`BusyTracker`.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Deque, Generator, List, Optional
+from typing import Deque, Generator, List, Optional, Tuple
 
 from repro.config import DiskSpec
 from repro.errors import DiskFailure, Interrupted, SimulationError
@@ -73,9 +75,13 @@ class Disk:
         self.bytes_read = 0.0
         self.bytes_written = 0.0
         self.seeks = 0
-        #: (completion time, bytes, kind) per request -- machine-level
-        #: observation used by the Spark-based models (§6.6).
-        self.transfer_log: List[tuple] = []
+        # The completion log -- machine-level observation used by the
+        # Spark-based models (§6.6) -- as columns, one entry per finished
+        # request in completion (so time) order: time, bytes, and 1 for
+        # a write, 0 for a read.
+        self._log_times = array("d")
+        self._log_bytes = array("d")
+        self._log_writes = bytearray()
         if spec.max_concurrency == 1:
             self._queue: Deque[DiskRequest] = deque()
             self._server_active = False
@@ -90,6 +96,28 @@ class Disk:
             self._wake_at = float("inf")
 
     # -- public API ----------------------------------------------------------
+
+    @property
+    def transfer_log(self) -> List[Tuple[float, float, str]]:
+        """``(completion time, bytes, kind)`` per finished request, in
+        completion order: a list built from the log's columns."""
+        return [(when, nbytes, "write" if write else "read")
+                for when, nbytes, write in zip(
+                    self._log_times, self._log_bytes, self._log_writes)]
+
+    def completed_bytes(self, start: float, end: float) -> array:
+        """Bytes of each request that finished in ``[start, end]``, in
+        completion order."""
+        if not start <= end:
+            return array("d")
+        times = self._log_times
+        return self._log_bytes[bisect_left(times, start):
+                               bisect_right(times, end)]
+
+    def _log(self, request: DiskRequest) -> None:
+        self._log_times.append(self.env.now)
+        self._log_bytes.append(request.nbytes)
+        self._log_writes.append(request.kind == "write")
 
     @property
     def is_hdd(self) -> bool:
@@ -240,8 +268,7 @@ class Disk:
                 else:
                     request.remaining = 0.0
                     last = request
-                    self.transfer_log.append(
-                        (self.env.now, request.nbytes, request.kind))
+                    self._log(request)
                     request.done.succeed()
         except Interrupted:
             pass  # Disk failed mid-service; fail_all() settles the queue.
@@ -342,6 +369,5 @@ class Disk:
                 self._active.remove(request)
             self._recompute_ssd()
             for request in finished:
-                self.transfer_log.append(
-                    (self.env.now, request.nbytes, request.kind))
+                self._log(request)
                 request.done.succeed()

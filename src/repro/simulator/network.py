@@ -41,6 +41,8 @@ flow-by-flow water-filling it replaced (the determinism tests, the
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import (Interrupted, LinkPartitionError, MachineFailure,
@@ -141,9 +143,13 @@ class Network:
         self._down_factor: Dict[int, float] = {}
         self._partitions: Set[Tuple[int, int]] = set()
         self.bytes_transferred = 0.0
-        #: (completion time, bytes, dst, src) per flow -- machine-level
-        #: observation used by the Spark-based models (§6.6).
-        self.completion_log: List[tuple] = []
+        # The completion log -- machine-level observation used by the
+        # Spark-based models (§6.6) -- as columns, one entry per
+        # delivered flow in delivery (so time) order.
+        self._log_times = array("d")
+        self._log_bytes = array("d")
+        self._log_dsts = array("q")
+        self._log_srcs = array("q")
         #: Per-machine receive-side busy trackers (1 unit = link saturated
         #: is approximated as "any flow active"); used for utilization plots.
         self.rx_trackers: Dict[int, BusyTracker] = {}
@@ -173,6 +179,25 @@ class Network:
     def up_bps(self, machine_id: int) -> float:
         """A machine's uplink capacity."""
         return self._up_bps[machine_id]
+
+    @property
+    def completion_log(self) -> List[Tuple[float, float, int, int]]:
+        """``(completion time, bytes, dst, src)`` per delivered flow, in
+        delivery order: a list built from the log's columns."""
+        return list(zip(self._log_times, self._log_bytes, self._log_dsts,
+                        self._log_srcs))
+
+    def delivered_bytes(self, dst: int, start: float,
+                        end: float) -> List[float]:
+        """Bytes of each flow into ``dst`` delivered in ``[start, end]``,
+        in delivery order."""
+        if not start <= end:
+            return []
+        times = self._log_times
+        lo, hi = bisect_left(times, start), bisect_right(times, end)
+        return [nbytes for nbytes, to in zip(self._log_bytes[lo:hi],
+                                             self._log_dsts[lo:hi])
+                if to == dst]
 
     @property
     def active_flows(self) -> int:
@@ -215,8 +240,10 @@ class Network:
         for flow in finished:
             if flow.done.triggered:
                 continue  # Failed by a machine crash while in delivery.
-            self.completion_log.append(
-                (self.env.now, flow.nbytes, flow.dst, flow.src))
+            self._log_times.append(self.env.now)
+            self._log_bytes.append(flow.nbytes)
+            self._log_dsts.append(flow.dst)
+            self._log_srcs.append(flow.src)
             flow.done.succeed()
 
     # -- incremental state ----------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import CapsuleError, ModelError
 from repro.jsonl import JsonlWriter
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import JobRecord, ServeRecord
+from repro.metrics.events import _NO_ATTRS, JobRecord, ServeRecord
 from repro.trace.spans import SpanLink, SpanRecord, link_to_json, span_to_json
 
 __all__ = ["CAPSULE_SCHEMA", "KNOWN_SCHEMAS", "RunRecorder", "Capsule"]
@@ -89,7 +89,8 @@ def _span_from_json(line: Dict[str, Any],
         name=share(name, name), start=line["start"], end=line["end"],
         machine_id=line["machine_id"], resource=share(resource, resource),
         phase=share(phase, phase), queue_s=line.get("queue_s", 0.0),
-        nbytes=line.get("nbytes", 0.0), attrs=dict(line.get("attrs", {})))
+        nbytes=line.get("nbytes", 0.0),
+        attrs=line.get("attrs") or _NO_ATTRS)
 
 
 def _link_from_json(line: Dict[str, Any],
@@ -248,8 +249,11 @@ class Capsule(MetricsCollector):
             = []
         self.clarity: Optional[Dict[str, Any]] = None
         self.summary: Optional[Dict[str, Any]] = None
-        #: Body line order, for byte-faithful :meth:`save`.
-        self._body: List[Tuple[str, Any]] = []
+        #: Body line order, for byte-faithful :meth:`save`: a bare
+        #: ``"span"`` or ``"link"`` for a line whose record is the next
+        #: one in ``spans`` or ``links``, a ``(type, record)`` pair for
+        #: any other line.
+        self._body: List[Any] = []
 
     # -- identity ------------------------------------------------------------------
 
@@ -304,7 +308,9 @@ class Capsule(MetricsCollector):
         like :meth:`~repro.simulator.core.Environment.run`).  Each
         distinct span or link string value -- trace ids, kinds, names,
         resources, phases, details -- becomes one shared object, through
-        a dict that lives only for this call.
+        a dict that lives only for this call.  A span line's parsed
+        ``attrs`` dict becomes the span's own; a span line without
+        attrs gets the read-only empty mapping monotask records share.
         """
         capsule = cls()
         capsule.path = path
@@ -367,13 +373,11 @@ class Capsule(MetricsCollector):
             self.manifest = line
             return
         if kind == "span":
-            span = _span_from_json(line, strings)
-            self.record_span(span)
-            self._body.append(("span", span))
+            self.record_span(_span_from_json(line, strings))
+            self._body.append("span")
         elif kind == "link":
-            link = _link_from_json(line, strings)
-            self.record_link(link)
-            self._body.append(("link", link))
+            self.record_link(_link_from_json(line, strings))
+            self._body.append("link")
         elif kind == "serve":
             record = _serve_from_json(line)
             self.record_serve(record)
@@ -408,12 +412,16 @@ class Capsule(MetricsCollector):
         with JsonlWriter(path, CAPSULE_SCHEMA) as writer:
             writer.write_record({k: v for k, v in self.header.items()
                                  if k != "schema"})
-            for kind, payload in self._body:
-                if kind == "span":
-                    record = span_to_json(payload)
-                elif kind == "link":
-                    record = link_to_json(payload)
-                elif kind == "serve":
+            spans, links = iter(self.spans), iter(self.links)
+            for entry in self._body:
+                if entry == "span":
+                    writer.write_record(span_to_json(next(spans)))
+                    continue
+                if entry == "link":
+                    writer.write_record(link_to_json(next(links)))
+                    continue
+                kind, payload = entry
+                if kind == "serve":
                     record = _serve_to_json(payload)
                 elif kind == "job":
                     record = _job_to_json(payload)

@@ -290,6 +290,19 @@ class TestJobServer:
         assert list(server.engine.map_outputs.shuffle_ids()) == []
         assert server.engine.pool._states == {}
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_repeated_details_and_names_are_one_object(self, crash):
+        # Queue waits, serve reads, DAG edges, retries and attempt names
+        # repeat from job to job; each distinct value is stored once.
+        server, report = self._serve_once("monospark", crash=crash)
+        assert report.total_completed > 0
+        metrics = server.engine.metrics
+        details = [link.detail for link in metrics.links]
+        names = [span.name for span in metrics.attempts]
+        for values in (details, names):
+            assert len(values) > len(set(values))
+            assert len({id(value) for value in values}) == len(set(values))
+
     def test_drain_leaves_no_service_pending(self):
         # Health, telemetry and obs are cancelled as run() returns: their
         # last wakeups stay queued but carry no callback.

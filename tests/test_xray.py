@@ -233,6 +233,41 @@ class TestCapsuleLoadMemory:
         assert len({id(v) for v in details}) == len(set(details))
 
 
+class TestLoadedCapsuleStorage:
+    """A loaded capsule keeps each span, link and attrs value once."""
+
+    def test_span_without_attrs_shares_the_read_only_mapping(self, clean):
+        from repro.metrics.events import _NO_ATTRS
+        loaded = Capsule.load(clean.path)
+        bare = [span for span in loaded.spans if not span.attrs]
+        assert bare
+        assert all(span.attrs is _NO_ATTRS for span in bare)
+        with pytest.raises(TypeError):
+            bare[0].attrs["outcome"] = "success"
+        assert all(type(span.attrs) is dict
+                   for span in loaded.spans if span.attrs)
+
+    def test_mixed_capsule_round_trips_byte_identical(self, tmp_path,
+                                                      degraded):
+        # Journal lines land between spans and links; telemetry,
+        # clarity and summary lines follow them.  Spans and links are
+        # saved from ``spans`` and ``links``, with no per-line record.
+        with open(degraded.path, "rb") as handle:
+            original = handle.read()
+        kinds = [json.loads(raw)["type"] for raw in original.splitlines()]
+        for kind in ("journal", "telemetry", "clarity", "summary"):
+            assert kind in kinds
+        first_journal = kinds.index("journal")
+        assert "span" in kinds[:first_journal]
+        assert "link" in kinds[first_journal:]
+        loaded = Capsule.load(degraded.path)
+        assert sum(isinstance(entry, tuple) for entry in loaded._body) \
+            == len(kinds) - kinds.count("span") - kinds.count("link") - 2
+        resaved = tmp_path / "resaved.capsule"
+        loaded.save(str(resaved))
+        assert resaved.read_bytes() == original
+
+
 class TestCapsuleAttempts:
     """A loaded capsule answers the attempt queries the live run did."""
 
