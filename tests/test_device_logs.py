@@ -24,38 +24,88 @@ delays = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
 sizes = st.one_of(st.just(0.0), st.floats(0.0, 64.0).map(lambda x: x * MB))
 
 
+disk_requests = (st.sampled_from([HDD, SSD]),
+                 st.lists(st.tuples(delays, sizes, st.sampled_from(
+                     ["read", "write"])), min_size=1, max_size=40))
+network_flows = st.lists(st.tuples(delays, st.integers(0, 3),
+                                   st.integers(0, 3), sizes),
+                         min_size=1, max_size=40)
+
+
+def run_disk(spec, requests):
+    """Serve ``requests`` on one disk; return it, the reference log
+    (appended as each request's completion event is processed) and the
+    end time."""
+    env = Environment()
+    disk = Disk(env, spec)
+    reference = []
+
+    def submit(nbytes, kind):
+        done = disk.submit(nbytes, kind)
+        if nbytes > 0:
+            done.callbacks.append(lambda _: reference.append(
+                (env.now, float(nbytes), kind)))
+        return done
+
+    def proc():
+        events = []
+        for delay, nbytes, kind in requests:
+            yield env.timeout(delay)
+            events.append(submit(nbytes, kind))
+        yield env.all_of(events)
+
+    env.run(until=env.process(proc()))
+    return disk, reference, env.now
+
+
+def run_network(flows):
+    """Deliver ``flows`` over four machines; return the network, the
+    reference log and the end time."""
+    env = Environment()
+    net = Network(env)
+    for machine in range(4):
+        net.register_machine(machine, 100 * MB, 100 * MB)
+    reference = []
+
+    def transfer(src, dst, nbytes):
+        done = net.transfer(src, dst, nbytes)
+        done.callbacks.append(lambda _: reference.append(
+            (env.now, float(nbytes), dst, src)))
+        return done
+
+    def proc():
+        events = []
+        for delay, src, dst, nbytes in flows:
+            yield env.timeout(delay)
+            events.append(transfer(src, dst, nbytes))
+        yield env.all_of(events)
+
+    env.run(until=env.process(proc()))
+    return net, reference, env.now
+
+
+def window_bounds(reference, now):
+    """Every logged time plus both ends of the run, sorted."""
+    return sorted({entry[0] for entry in reference} | {0.0, now})
+
+
 class TestDiskLogModel:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([HDD, SSD]),
-           st.lists(st.tuples(delays, sizes, st.sampled_from(
-               ["read", "write"])), min_size=1, max_size=40))
+    @given(*disk_requests)
     def test_matches_reference(self, spec, requests):
         # Zero delays submit several requests at one instant, and equal
         # sizes on the SSD finish several at one instant: the log keeps
         # every entry, in completion order.
-        env = Environment()
-        disk = Disk(env, spec)
-        reference = []
-
-        def submit(nbytes, kind):
-            done = disk.submit(nbytes, kind)
-            if nbytes > 0:
-                done.callbacks.append(lambda _: reference.append(
-                    (env.now, float(nbytes), kind)))
-            return done
-
-        def proc():
-            events = []
-            for delay, nbytes, kind in requests:
-                yield env.timeout(delay)
-                events.append(submit(nbytes, kind))
-            yield env.all_of(events)
-
-        env.run(until=env.process(proc()))
+        disk, reference, _ = run_disk(spec, requests)
         assert disk.transfer_log == reference
         assert all(type(entry) is tuple for entry in disk.transfer_log)
-        # Windows closed on both ends, with bounds at logged times.
-        times = sorted({when for when, _, _ in reference} | {0.0, env.now})
+
+    @settings(max_examples=100, deadline=None)
+    @given(*disk_requests)
+    def test_windows_match_reference(self, spec, requests):
+        # Windows are closed on both ends; bounds sit on logged times.
+        disk, reference, now = run_disk(spec, requests)
+        times = window_bounds(reference, now)
         for start in times:
             for end in times:
                 assert list(disk.completed_bytes(start, end)) == [
@@ -65,34 +115,19 @@ class TestDiskLogModel:
 
 class TestNetworkLogModel:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(delays, st.integers(0, 3), st.integers(0, 3),
-                              sizes), min_size=1, max_size=40))
+    @given(network_flows)
     def test_matches_reference(self, flows):
         # Local and empty flows pay only the latency; flows launched at
         # one instant and equal flows on one pair land together.
-        env = Environment()
-        net = Network(env)
-        for machine in range(4):
-            net.register_machine(machine, 100 * MB, 100 * MB)
-        reference = []
-
-        def transfer(src, dst, nbytes):
-            done = net.transfer(src, dst, nbytes)
-            done.callbacks.append(lambda _: reference.append(
-                (env.now, float(nbytes), dst, src)))
-            return done
-
-        def proc():
-            events = []
-            for delay, src, dst, nbytes in flows:
-                yield env.timeout(delay)
-                events.append(transfer(src, dst, nbytes))
-            yield env.all_of(events)
-
-        env.run(until=env.process(proc()))
+        net, reference, _ = run_network(flows)
         assert net.completion_log == reference
         assert all(type(entry) is tuple for entry in net.completion_log)
-        times = sorted({when for when, *_ in reference} | {0.0, env.now})
+
+    @settings(max_examples=100, deadline=None)
+    @given(network_flows)
+    def test_windows_match_reference(self, flows):
+        net, reference, now = run_network(flows)
+        times = window_bounds(reference, now)
         for dst in range(4):
             for start in times:
                 for end in times:
