@@ -479,11 +479,11 @@ class ControlPlane(JobServer):
         self.record_driver_event(
             "resume", adopter.driver_id, peer_id=dead.driver_id,
             tenant=request.tenant, detail=f"job {job_id}")
-        roots = self.metrics.spans_for_job(job_id)
-        if roots:
+        root = self.metrics.job_span(job_id)
+        if root is not None:
             self.metrics.record_link(SpanLink(
-                from_span_id=span_id, to_span_id=roots[0].span_id,
-                kind=LINK_FAILOVER_RESUME, trace_id=roots[0].trace_id,
+                from_span_id=span_id, to_span_id=root.span_id,
+                kind=LINK_FAILOVER_RESUME, trace_id=root.trace_id,
                 at=self.env.now,
                 detail=f"driver {dead.driver_id} -> "
                        f"driver {adopter.driver_id}"))

@@ -893,10 +893,16 @@ class BaseEngine:
                 plan.job_id,
                 [task.task_id for stage in plan.stages
                  for task in stage.tasks],
-                partial(self.map_outputs.drop_shuffles, shuffle_ids))
+                partial(self._job_forgotten, plan.job_id, shuffle_ids))
             self._release_in_memory_shuffle(plan.job_id)
         self.metrics.job_finished(plan.job_id, self.env.now)
         return self._assemble_result(plan, start)
+
+    def _job_forgotten(self, job_id: int, shuffle_ids: List[int]) -> None:
+        """The ended job's last attempt is over: drop its map outputs
+        and its last-attempt index."""
+        self.map_outputs.drop_shuffles(shuffle_ids)
+        self.metrics.forget_attempts(job_id)
 
     def note_in_memory_shuffle(self, job_id: int, machine: Machine,
                                nbytes: float) -> None:

@@ -109,24 +109,31 @@ class MonotaskRateEstimator:
     def __init__(self, metrics: MetricsCollector) -> None:
         self.metrics = metrics
         self.table = _RateTable()
-        self._monotasks = _StreamCursor()
+        #: The first monotask row the next update folds.
+        self._next_row = 0
         self._transfers = _StreamCursor()
 
     def update(self) -> None:
-        """Fold newly finished monotasks and transfers into the table."""
-        for record in self._monotasks.finished(self.metrics.monotasks):
-            duration = record.duration
+        """Fold newly finished monotasks and transfers into the table.
+
+        Monotask reports are read from the collector's columns, rows
+        past the last update in record order.
+        """
+        rows = self.metrics.monotask_table
+        first, self._next_row = self._next_row, len(rows)
+        for (_, resource, _, machine_id, start, end, _, nbytes,
+             deserialize_s, op_s, serialize_s) in rows.scan(
+                range(first, self._next_row)):
+            duration = end - start
             if duration <= 0:
                 continue
-            if record.resource == CPU:
-                priced = (record.deserialize_s + record.op_s
-                          + record.serialize_s)
+            if resource == CPU:
+                priced = deserialize_s + op_s + serialize_s
                 if priced > 0:
-                    self.table.observe(record.machine_id, CPU,
+                    self.table.observe(machine_id, CPU,
                                        min(1.0, priced / duration))
-            elif record.resource == DISK and record.nbytes > 0:
-                self.table.observe(record.machine_id, DISK,
-                                   record.nbytes / duration)
+            elif resource == DISK and nbytes > 0:
+                self.table.observe(machine_id, DISK, nbytes / duration)
             # NETWORK monotasks span several source machines; the
             # per-source TransferRecords below carry the attribution.
         for record in self._transfers.finished(self.metrics.transfers):

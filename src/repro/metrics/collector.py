@@ -3,18 +3,20 @@ simulation.
 
 Besides the flat per-record lists, the collector owns the *span tree*
 of every job (:mod:`repro.trace.spans`): it mints span ids, opens and
-closes job/stage/attempt spans, files each traced
-:class:`MonotaskRecord` self-report as its own monotask leaf span (one
-object in both ``monotasks`` and ``spans``), and records causal links
-(DAG edges, shuffle fetches, queue waits, retries, speculation).  An
-attached sink (:class:`~repro.xray.capsule.RunRecorder`) streams spans
-out as they close into a run capsule, and a loaded
+closes job/stage/attempt spans, keeps each :class:`MonotaskRecord`
+self-report as one row of a column table (:mod:`repro.metrics.table`)
+that, when traced, is also the monotask's leaf span in ``spans``, and
+records causal links (DAG edges, shuffle fetches, queue waits, retries,
+speculation).  An attached sink
+(:class:`~repro.xray.capsule.RunRecorder`) streams spans out as they
+close into a run capsule, and a loaded
 :class:`~repro.xray.capsule.Capsule` is a collector refilled from that
 file, so every span query reads one store, live or on disk.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple, Type, TypeVar
 
@@ -23,10 +25,12 @@ from repro.metrics.events import (CPU, DISK, NETWORK, Event, JobRecord,
                                   MonotaskRecord, ResourceUsageRecord,
                                   ServeRecord, SpeculationRecord,
                                   TransferRecord)
+from repro.metrics.table import (ROW, MonotaskRows, MonotaskTable, SpanList,
+                                 job_trace_id)
 from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                LINK_REDISPATCH, LINK_RETRY,
-                               LINK_SHUFFLE_FETCH, LINK_SPECULATION,
-                               SPAN_ATTEMPT, SPAN_JOB, SPAN_STAGE, SpanLink,
+                               LINK_SPECULATION, SPAN_ATTEMPT, SPAN_JOB,
+                               SPAN_MONOTASK, SPAN_STAGE, SpanLink,
                                SpanRecord, TraceContext)
 
 __all__ = ["MetricsCollector"]
@@ -38,7 +42,10 @@ class MetricsCollector:
     """Accumulates monotask/attempt/stage/job records for one engine run."""
 
     def __init__(self) -> None:
-        self.monotasks: List[MonotaskRecord] = []
+        #: Every monotask report, one row each, in record order.
+        self.monotask_table = MonotaskTable()
+        #: The same reports read as records (built on read).
+        self.monotasks = MonotaskRows(self.monotask_table)
         self.resource_usage: List[ResourceUsageRecord] = []
         #: Finished task-attempt spans, in the order they closed.
         self.attempts: List[SpanRecord] = []
@@ -50,16 +57,25 @@ class MetricsCollector:
         self.serves: List[ServeRecord] = []
         self.jobs: Dict[int, JobRecord] = {}
         #: Every span ever opened, in open order (leaves are appended
-        #: closed; container spans close in place).
-        self.spans: List[SpanRecord] = []
+        #: closed; container spans close in place).  A traced monotask
+        #: row sits here as the ``ROW`` marker and reads as its record.
+        self._span_entries: List = []
+        self.spans = SpanList(self._span_entries, self.monotask_table)
         #: Causal links between spans, in record order.
         self.links: List[SpanLink] = []
         # Per-key views maintained at record time, so per-job queries
         # read only that job's records instead of scanning the full
-        # history (which is quadratic over a long serving run).
-        self._spans_by_trace: Dict[str, List[SpanRecord]] = {}
+        # history (which is quadratic over a long serving run).  A
+        # trace's list holds ``ROW`` for each of its traced monotask
+        # rows, which are its job's traced rows in order.
+        self._spans_by_trace: Dict[str, List] = {}
         self._links_by_trace: Dict[str, List[SpanLink]] = {}
-        self._monotasks_by_job: Dict[int, List[MonotaskRecord]] = {}
+        #: job -> its monotask rows, ascending.
+        self._rows_by_job: Dict[int, array] = {}
+        #: The last (job, trace id) a traced monotask passed the check
+        #: with (:meth:`_check_trace`).
+        self._checked_job: Optional[int] = None
+        self._checked_trace: Optional[str] = None
         self._usage_by_stage: Dict[Tuple[int, int],
                                    List[ResourceUsageRecord]] = {}
         self._span_ids = count(1)
@@ -68,9 +84,12 @@ class MetricsCollector:
         #: job -> {stage id: stage span}, filled when a stage opens
         #: live or its span is replayed from a capsule.
         self._stage_spans: Dict[int, Dict[int, SpanRecord]] = {}
-        #: (job, stage, task_index) -> most recent attempt span, for
-        #: retry/speculation links between consecutive attempts.
-        self._last_attempt_spans: Dict[Tuple[int, int, int], SpanRecord] = {}
+        #: job -> {(stage, task_index): most recent attempt span}, for
+        #: retry/speculation links between consecutive attempts; a job's
+        #: entry goes once its last attempt has ended
+        #: (:meth:`forget_attempts`).
+        self._last_attempt_spans: Dict[
+            int, Dict[Tuple[int, int], SpanRecord]] = {}
         self._sinks: List = []
         #: job -> {engine label: critical-path report, None: stage
         #: profiles or the ModelError message}: the one analysis of a
@@ -123,7 +142,7 @@ class MetricsCollector:
 
     def record_span(self, span: SpanRecord) -> None:
         """Append a complete (already closed) span."""
-        self.spans.append(span)
+        self._span_entries.append(span)
         self._spans_by_trace.setdefault(span.trace_id, []).append(span)
         if span.kind == SPAN_STAGE:
             attrs = span.attrs
@@ -139,7 +158,7 @@ class MetricsCollector:
             sink.link_recorded(link)
 
     def _open_span(self, span: SpanRecord) -> SpanRecord:
-        self.spans.append(span)
+        self._span_entries.append(span)
         self._spans_by_trace.setdefault(span.trace_id, []).append(span)
         self._open_spans[span.span_id] = span
         return span
@@ -170,11 +189,44 @@ class MetricsCollector:
 
     def job_trace_id(self, job_id: int) -> str:
         """The trace id under which a job's spans are recorded."""
-        return f"job-{job_id}"
+        return job_trace_id(job_id)
+
+    def job_span(self, job_id: int) -> Optional[SpanRecord]:
+        """The root span of a job started in this run (None if none)."""
+        return self._job_spans.get(job_id)
 
     def spans_for_job(self, job_id: int) -> List[SpanRecord]:
         """All spans of one job's trace, in open order."""
-        return list(self._spans_by_trace.get(self.job_trace_id(job_id), ()))
+        entries = self._spans_by_trace.get(job_trace_id(job_id), ())
+        table = self.monotask_table
+        rows = table.traced_rows(self._rows_by_job.get(job_id, ()))
+        return [table.record(next(rows)) if entry is ROW else entry
+                for entry in entries]
+
+    def monotask_leaves(self, job_id: int) -> List[Tuple]:
+        """``(start, end, resource, machine_id, phase, span_id,
+        queue_s)`` of each finished monotask leaf span of the job, in
+        open order: read from the columns for rows, from the span for a
+        span recorded as one (a loaded capsule's)."""
+        entries = self._spans_by_trace.get(job_trace_id(job_id), ())
+        rows = iter(self.monotask_table.leaves(
+            self._rows_by_job.get(job_id, ())))
+        leaves = []
+        for entry in entries:
+            if entry is ROW:
+                leaves.append(next(rows))
+            elif entry.kind == SPAN_MONOTASK and entry.finished:
+                leaves.append((entry.start, entry.end, entry.resource,
+                               entry.machine_id, entry.phase, entry.span_id,
+                               entry.queue_s))
+        return leaves
+
+    def monotask_scan(self, job_id: int) -> List[Tuple]:
+        """A job's monotask reports as the plain tuples of
+        :meth:`~repro.metrics.table.MonotaskTable.scan`, in record
+        order: what :meth:`stage_monotasks` returns, without building
+        the records."""
+        return self.monotask_table.scan(self._rows_by_job.get(job_id, ()))
 
     def links_for_job(self, job_id: int) -> List[SpanLink]:
         """All causal links of one job's trace."""
@@ -185,31 +237,58 @@ class MetricsCollector:
     def record_monotask(self, record: MonotaskRecord,
                         trace: Optional[TraceContext] = None,
                         span_id: Optional[int] = None) -> None:
-        """Append a monotask self-report.
+        """Keep a monotask self-report as one row of the table.
 
-        With a ``trace`` context the record itself, stamped with its
-        span identity, becomes a leaf span of the attempt that spawned
-        the monotask, plus a queue-wait link when it waited at its
-        resource scheduler.
+        With a ``trace`` context (the job's trace) the row is also a
+        leaf span of the attempt that spawned the monotask, streamed to
+        the sinks as the record stamped with its span identity, plus a
+        queue-wait link when it waited at its resource scheduler.
         """
-        self.monotasks.append(record)
-        self._monotasks_by_job.setdefault(record.job_id, []).append(record)
-        self._analysis_cache.pop(record.job_id, None)
+        job_id = record.job_id
+        if trace is not None and (trace.trace_id is not self._checked_trace
+                                  or job_id != self._checked_job):
+            self._check_trace(job_id, trace.trace_id)
+        self._analysis_cache.pop(job_id, None)
+        rows = self._rows_by_job.get(job_id)
+        if rows is None:
+            rows = self._rows_by_job[job_id] = array("I")
+        table = self.monotask_table
         if trace is None:
+            rows.append(table.append(record))
             return
-        record.span_id = (span_id if span_id is not None
-                          else self.new_span_id())
-        record.trace_id = trace.trace_id
-        record.parent_id = trace.span_id
-        record.name = record.phase
-        self.record_span(record)
+        trace_id = trace.trace_id
+        if span_id is None:
+            span_id = self.new_span_id()
+        rows.append(table.append(record, span_id, trace.span_id))
+        self._span_entries.append(ROW)
+        self._spans_by_trace.setdefault(trace_id, []).append(ROW)
+        if self._sinks:
+            # Sinks get the filed record itself, stamped as the row
+            # reads back.
+            record.span_id = span_id
+            record.trace_id = trace_id
+            record.parent_id = trace.span_id
+            record.name = record.phase
+            for sink in self._sinks:
+                sink.span_finished(record)
         if record.queue_s > 0:
             self.record_link(SpanLink(
-                from_span_id=trace.span_id, to_span_id=record.span_id,
-                kind=LINK_QUEUE_WAIT, trace_id=trace.trace_id,
+                from_span_id=trace.span_id, to_span_id=span_id,
+                kind=LINK_QUEUE_WAIT, trace_id=trace_id,
                 at=record.start,
                 detail=self.text("{} queue {:.6f}s", record.resource,
                                  record.queue_s)))
+
+    def _check_trace(self, job_id: int, trace_id: str) -> None:
+        """Refuse a monotask traced outside its job's trace: its row is
+        filed under the job and reads back under the job's trace.  The
+        last pair that passed is remembered, so a job's monotasks, which
+        share one trace id object, are checked once in a row."""
+        if trace_id != job_trace_id(job_id):
+            raise SimulationError(
+                f"monotask of job {job_id} traced under {trace_id!r}, not "
+                f"its job's trace")
+        self._checked_job, self._checked_trace = job_id, trace_id
 
     def record_event(self, event: Event) -> None:
         """Append one incident record to the event stream."""
@@ -352,8 +431,11 @@ class MetricsCollector:
                    "task_index": task_index, "attempt": attempt}))
         if speculative:
             span.attrs["speculative"] = True
-        key = (job_id, stage_id, task_index)
-        previous = self._last_attempt_spans.get(key)
+        last = self._last_attempt_spans.get(job_id)
+        if last is None:
+            last = self._last_attempt_spans[job_id] = {}
+        key = (stage_id, task_index)
+        previous = last.get(key)
         if previous is not None and previous.span_id != span.span_id:
             if cause == "health-redispatch":
                 kind = LINK_REDISPATCH
@@ -366,9 +448,17 @@ class MetricsCollector:
                 kind=kind, trace_id=trace_id, at=now,
                 detail=cause or self.text("attempt {} on machine {}",
                                           attempt, machine_id)))
-        self._last_attempt_spans[key] = span
+        last[key] = span
         return TraceContext(trace_id=trace_id, span_id=span.span_id,
                             parent_id=parent)
+
+    def forget_attempts(self, job_id: int) -> None:
+        """Drop an ended job's last-attempt index.
+
+        Called once the job's last in-flight attempt has ended, so a
+        speculation loser or a retry still finds its predecessor.
+        """
+        self._last_attempt_spans.pop(job_id, None)
 
     def attempt_finished(self, trace: TraceContext, now: float,
                          outcome: str, detail: str = "") -> None:
@@ -442,10 +532,12 @@ class MetricsCollector:
                         stage_id: Optional[int] = None
                         ) -> List[MonotaskRecord]:
         """Monotask reports of a job (optionally one stage)."""
-        records = self._monotasks_by_job.get(job_id, ())
-        if stage_id is None:
-            return list(records)
-        return [m for m in records if m.stage_id == stage_id]
+        table = self.monotask_table
+        rows = self._rows_by_job.get(job_id, ())
+        if stage_id is not None:
+            stages = table.stage_id
+            rows = [row for row in rows if stages[row] == stage_id]
+        return [table.record(row) for row in rows]
 
     def stage_window(self, job_id: int, stage_id: int) -> Tuple[float, float]:
         """A stage's (start, end) wall-clock window."""
@@ -504,12 +596,15 @@ class MetricsCollector:
         total is zero -- queueing exists but cannot be attributed.
         """
         wanted = None if job_ids is None else set(job_ids)
+        table = self.monotask_table
+        kinds = table.kinds
         totals = {CPU: 0.0, DISK: 0.0, NETWORK: 0.0}
-        for record in self.monotasks:
-            if wanted is not None and record.job_id not in wanted:
+        for job_id, code, queue_s in zip(table.job_id, table.code,
+                                         table.queue_s):
+            if wanted is not None and job_id not in wanted:
                 continue
-            totals[record.resource] = (totals.get(record.resource, 0.0)
-                                       + record.queue_s)
+            resource = kinds[code >> 1][0]
+            totals[resource] = totals.get(resource, 0.0) + queue_s
         return totals
 
     def retry_count(self, job_id: Optional[int] = None) -> int:

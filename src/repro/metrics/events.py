@@ -82,9 +82,11 @@ _NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
 class MonotaskRecord(SpanRecord):
     """One monotask's self-report: what resource, how long, how much.
 
-    The report is also the monotask's leaf span: with a trace context
-    the collector stamps the span identity onto the record and files
-    the same object as a span, so a traced monotask is stored once.
+    The report is also the monotask's leaf span.  The collector keeps
+    it as one row of its column table (:mod:`repro.metrics.table`) and
+    builds an equal record, with the span identity of a traced report
+    stamped on, whenever it is read, from ``monotasks`` and ``spans``
+    alike.
     """
 
     span_id: int = 0

@@ -156,27 +156,30 @@ def profile_job(metrics: MetricsCollector, job_id: int) -> List[StageProfile]:
     stage_spans = metrics.stage_records(job_id)
     if not stage_spans:
         raise ModelError(f"no stages recorded for job {job_id}")
-    profiles = []
-    for stage_span in stage_spans:
-        stage_id = stage_span.attrs["stage_id"]
-        profile = StageProfile(
-            job_id=job_id, stage_id=stage_id, name=stage_span.name,
-            measured_duration_s=stage_span.duration)
-        for record in metrics.stage_monotasks(job_id, stage_id):
-            if record.resource == CPU:
-                profile.compute_s += record.duration
-                profile.deserialize_s += record.deserialize_s
-                profile.serialize_s += record.serialize_s
-            elif record.resource == DISK:
-                profile.disk_bytes[record.phase] = (
-                    profile.disk_bytes.get(record.phase, 0.0) + record.nbytes)
-            elif record.resource == NETWORK:
-                profile.network_bytes += record.nbytes
+    profiles = [StageProfile(job_id=job_id, stage_id=span.attrs["stage_id"],
+                             name=span.name,
+                             measured_duration_s=span.duration)
+                for span in stage_spans]
+    by_stage = {profile.stage_id: profile for profile in profiles}
+    for (stage_id, resource, phase, _, start, end, _, nbytes, deserialize_s,
+         _, serialize_s) in metrics.monotask_scan(job_id):
+        profile = by_stage.get(stage_id)
+        if profile is None:
+            continue
+        if resource == CPU:
+            profile.compute_s += end - start
+            profile.deserialize_s += deserialize_s
+            profile.serialize_s += serialize_s
+        elif resource == DISK:
+            profile.disk_bytes[phase] = (
+                profile.disk_bytes.get(phase, 0.0) + nbytes)
+        elif resource == NETWORK:
+            profile.network_bytes += nbytes
+    for profile in profiles:
         if profile.reads_dfs_input:
             # Map stages deserialize only their input, so all measured
             # deserialization time is input deserialization.
             profile.input_deserialize_s = profile.deserialize_s
-        profiles.append(profile)
     if all(p.compute_s == 0 for p in profiles):
         raise ModelError(
             f"job {job_id} has no compute monotask records; was it run on "

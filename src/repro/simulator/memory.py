@@ -10,6 +10,7 @@ memory either), but a strict mode raises for tests that want the guard.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Tuple
 
 from repro.errors import OutOfMemoryError, SimulationError
@@ -32,8 +33,10 @@ class MemoryPool:
         self.used = 0.0
         self.peak = 0.0
         self.overcommit_events = 0
-        #: (time, used) change points for plotting memory pressure.
-        self.timeline: List[Tuple[float, float]] = [(env.now, 0.0)]
+        # (time, used) change points, as two columns; one point per
+        # instant, the last change at that instant.
+        self._times = array("d", (env.now,))
+        self._used = array("d", (0.0,))
 
     def acquire(self, nbytes: float) -> None:
         """Account for ``nbytes`` of new resident data."""
@@ -63,9 +66,16 @@ class MemoryPool:
         self.used = max(0.0, self.used)
         self._record()
 
+    @property
+    def timeline(self) -> List[Tuple[float, float]]:
+        """(time, used) change points for plotting memory pressure: a
+        list built from the columns."""
+        return list(zip(self._times, self._used))
+
     def _record(self) -> None:
         now = self.env.now
-        if self.timeline and self.timeline[-1][0] == now:
-            self.timeline[-1] = (now, self.used)
+        if self._times[-1] == now:
+            self._used[-1] = self.used
         else:
-            self.timeline.append((now, self.used))
+            self._times.append(now)
+            self._used.append(self.used)

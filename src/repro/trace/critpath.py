@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
-from repro.trace.spans import SPAN_ATTEMPT, SPAN_MONOTASK, SpanRecord
+from repro.trace.spans import SPAN_ATTEMPT
 
 __all__ = ["PathSegment", "CriticalPathReport", "critical_path"]
 
@@ -221,13 +221,17 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _intervals_for_job(spans: List[SpanRecord],
-                       lo: float, hi: float) -> Tuple[List[_Interval], bool]:
+def _intervals_for_job(metrics, job_id: int, lo: float,
+                       hi: float) -> Tuple[List[_Interval], bool]:
     """Candidate covering intervals from a job's spans, clamped to the
-    job window.  Returns (intervals, attributable)."""
-    monotask_spans = [s for s in spans
-                      if s.kind == SPAN_MONOTASK and s.finished]
-    attributable = bool(monotask_spans)
+    job window.  Returns (intervals, attributable).
+
+    Monotask leaves come as plain tuples
+    (:meth:`~repro.metrics.collector.MetricsCollector.monotask_leaves`),
+    so a live job's rows are read without building their records.
+    """
+    leaves = metrics.monotask_leaves(job_id)
+    attributable = bool(leaves)
     intervals: List[_Interval] = []
 
     def add(start: float, end: float, kind: str, resource: str,
@@ -238,15 +242,15 @@ def _intervals_for_job(spans: List[SpanRecord],
                                        machine_id, phase, span_id))
 
     if attributable:
-        for span in monotask_spans:
-            add(span.start, span.end, SERVICE, span.resource,
-                span.machine_id, span.phase, span.span_id)
-            if span.queue_s > _EPS:
-                add(span.submitted, span.start, QUEUE, span.resource,
-                    span.machine_id, span.phase, span.span_id)
+        for start, end, resource, machine_id, phase, span_id, queue_s \
+                in leaves:
+            add(start, end, SERVICE, resource, machine_id, phase, span_id)
+            if queue_s > _EPS:
+                add(start - queue_s, start, QUEUE, resource, machine_id,
+                    phase, span_id)
     else:
         # Blended-engine fallback: attempts are the finest grain.
-        for span in spans:
+        for span in metrics.spans_for_job(job_id):
             if span.kind == SPAN_ATTEMPT and span.finished:
                 add(span.start, span.end, SERVICE, TASK,
                     span.machine_id, "", span.span_id)
@@ -269,8 +273,7 @@ def critical_path(metrics, job_id: int,
         raise SimulationError(
             f"critical path requested for unfinished job {job_id}")
     lo, hi = job.start, job.end
-    spans = metrics.spans_for_job(job_id)
-    intervals, attributable = _intervals_for_job(spans, lo, hi)
+    intervals, attributable = _intervals_for_job(metrics, job_id, lo, hi)
 
     # Backward walk: at each point t, the binding interval is the one
     # covering t whose start is latest; gaps no interval covers are

@@ -1,12 +1,15 @@
-"""The disks' and the network's completion logs.
+"""The disks' and the network's completion logs, and the memory
+pools' timelines.
 
-Each log is the machine-level observation the Spark-based models read
-(§6.6): one ``(time, bytes, kind)`` entry per finished disk request and
-one ``(time, bytes, dst, src)`` entry per delivered flow, in completion
-order.  The hypothesis tests check the logs and their windowed reads
-against a list-of-tuples reference fed from the requests' own
-completion events; the pins fix the logs of two seeded engine runs, bit
-for bit.
+Each completion log is the machine-level observation the Spark-based
+models read (§6.6): one ``(time, bytes, kind)`` entry per finished disk
+request and one ``(time, bytes, dst, src)`` entry per delivered flow, in
+completion order.  The hypothesis tests check the logs and their
+windowed reads against a list-of-tuples reference fed from the
+requests' own completion events; the pins fix the logs of two seeded
+engine runs, bit for bit.  A memory pool's timeline is one ``(time,
+used)`` point per instant its usage changed, the last change at that
+instant; it too is checked against a list-of-tuples reference.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import AnalyticsContext
 from repro.cluster import hdd_cluster, ssd_cluster
 from repro.config import GB, HDD, MB, SSD
-from repro.simulator import Disk, Environment, Network
+from repro.simulator import Disk, Environment, MemoryPool, Network
 from repro.workloads.sortgen import (SortWorkload, generate_sort_input,
                                      run_sort)
 
@@ -84,6 +87,36 @@ def run_network(flows):
     return net, reference, env.now
 
 
+memory_steps = st.lists(st.tuples(delays, st.booleans(), sizes),
+                        min_size=1, max_size=40)
+
+
+def run_memory(steps):
+    """Acquire, or release the latest held amount, after each delay;
+    return the pool and the reference timeline, noted after each step."""
+    env = Environment()
+    pool = MemoryPool(env, capacity_bytes=1 * GB)
+    reference = [(0.0, 0.0)]
+    held = []
+
+    def proc():
+        for delay, release, nbytes in steps:
+            yield env.timeout(delay)
+            if release and held:
+                pool.release(held.pop())
+            else:
+                pool.acquire(nbytes)
+                held.append(nbytes)
+            point = (env.now, pool.used)
+            if reference[-1][0] == env.now:
+                reference[-1] = point
+            else:
+                reference.append(point)
+
+    env.run(until=env.process(proc()))
+    return pool, reference
+
+
 def window_bounds(reference, now):
     """Every logged time plus both ends of the run, sorted."""
     return sorted({entry[0] for entry in reference} | {0.0, now})
@@ -134,6 +167,17 @@ class TestNetworkLogModel:
                     assert net.delivered_bytes(dst, start, end) == [
                         nbytes for when, nbytes, to, _ in reference
                         if to == dst and start <= when <= end]
+
+
+class TestMemoryTimelineModel:
+    @settings(max_examples=150, deadline=None)
+    @given(memory_steps)
+    def test_matches_reference(self, steps):
+        # Zero delays change usage several times at one instant: the
+        # timeline keeps the last.
+        pool, reference = run_memory(steps)
+        assert pool.timeline == reference
+        assert all(type(point) is tuple for point in pool.timeline)
 
 
 def _seeded_run(cluster, engine):

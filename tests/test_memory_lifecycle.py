@@ -109,3 +109,19 @@ class TestNoCyclicGarbage:
             return ctx
 
         assert kernel_garbage(run) == {}
+
+
+class TestAttemptIndexLifecycle:
+    def test_served_jobs_leave_no_attempt_index(self):
+        # The last-attempt index serves retry and speculation links of
+        # a live job; a job's entry goes once its last attempt ends.
+        cluster = hdd_cluster(num_machines=2, num_disks=2, seed=0)
+        ctx = AnalyticsContext(cluster, engine="monospark")
+        server = JobServer(ctx, policy="fifo", seed=0)
+        server.add_tenant("t")
+        server.add_workload("t", sort_template(ctx, total_gb=0.05,
+                                               num_tasks=4, seed=0),
+                            PoissonArrivals(0.2, horizon_s=60.0))
+        server.run()
+        assert len(ctx.metrics.jobs) > 1
+        assert ctx.metrics._last_attempt_spans == {}

@@ -446,6 +446,17 @@ class TestExhaustedRetries:
             [request.arrival for request in server.submitted]
         assert all(request.recorded for request in server.submitted)
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_ended_jobs_leave_no_attempt_index(self, seed):
+        # Each job's last-attempt index goes once its last attempt has
+        # ended, failed jobs and speculation losers included; the retry
+        # and speculation links it exists for were made before that.
+        ctx, server = self.serve(seed)
+        server.run()
+        assert ctx.metrics._last_attempt_spans == {}
+        kinds = {link.kind for link in ctx.metrics.links}
+        assert "retry" in kinds
+
     def test_ended_jobs_leave_no_lineage_index(self):
         # Shuffles are intra-job: once every driver has ended, completed
         # and failed alike, no job's map tasks or recovery barriers stay.

@@ -166,14 +166,15 @@ def build_tiny_plan():
 
 class TestMonotaskLeafSpans:
     def test_traced_record_is_its_span(self):
-        # A traced monotask's report is filed once: the record in
-        # ``monotasks`` is the leaf span in ``spans``.
+        # A traced monotask's report is filed once, as one row: the
+        # record read from ``monotasks`` equals the leaf span read from
+        # ``spans``.
         metrics = run_shuffle().metrics
         leaves = [span for span in metrics.spans
                   if span.kind == SPAN_MONOTASK]
         assert leaves
         assert len(leaves) == len(metrics.monotasks)
-        assert all(span is record
+        assert all(span == record
                    for span, record in zip(leaves, metrics.monotasks))
         for record in metrics.monotasks:
             assert record.name == record.phase
