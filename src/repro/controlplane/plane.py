@@ -56,7 +56,7 @@ from repro.serve.server import JobRequest, JobServer
 from repro.serve.slo import ServeReport
 from repro.simulator.network import Network
 from repro.trace.spans import (LINK_FAILOVER_RESUME, SPAN_FAILOVER,
-                               SpanLink, SpanRecord)
+                               SpanRecord)
 
 __all__ = ["ControlPlane"]
 
@@ -481,12 +481,12 @@ class ControlPlane(JobServer):
             tenant=request.tenant, detail=f"job {job_id}")
         root = self.metrics.job_span(job_id)
         if root is not None:
-            self.metrics.record_link(SpanLink(
+            self.metrics.record_link(
                 from_span_id=span_id, to_span_id=root.span_id,
                 kind=LINK_FAILOVER_RESUME, trace_id=root.trace_id,
                 at=self.env.now,
                 detail=f"driver {dead.driver_id} -> "
-                       f"driver {adopter.driver_id}"))
+                       f"driver {adopter.driver_id}")
 
     def _replay(self, adopter: DriverReplica, dead: DriverReplica,
                 request: JobRequest) -> bool:

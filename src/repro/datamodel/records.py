@@ -22,7 +22,7 @@ see :mod:`repro.api.ops`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -132,6 +132,31 @@ class Partition:
                 records=bucket if own_records else list(bucket),
                 record_count=self.record_count * share,
                 data_bytes=self.data_bytes * share))
+        return parts
+
+    def shuffle_buckets(self, buckets: Sequence[List[Any]]
+                        ) -> Dict[int, "Partition"]:
+        """``{index: part}`` of :meth:`split_proportionally` (records
+        adopted), keeping only the parts with a record or a modeled
+        record: what a shuffle writer keeps.
+
+        When some bucket holds a real record, an empty bucket's share is
+        zero, so only the non-empty buckets are built, with the same
+        share expression.
+        """
+        total_real = sum(len(bucket) for bucket in buckets)
+        if total_real == 0:
+            return {index: part for index, part in enumerate(
+                        self.split_proportionally(buckets, own_records=True))
+                    if part.record_count > 0 or part.records}
+        record_count, data_bytes = self.record_count, self.data_bytes
+        parts = {}
+        for index, bucket in enumerate(buckets):
+            if bucket:
+                share = len(bucket) / total_real
+                parts[index] = Partition(records=bucket,
+                                         record_count=record_count * share,
+                                         data_bytes=data_bytes * share)
         return parts
 
     @staticmethod

@@ -41,7 +41,7 @@ from repro.metrics.events import (PHASE_DATASVC_DRAIN, PHASE_DATASVC_READ,
 from repro.monospark.monotask import DiskMonotask
 from repro.monospark.schedulers import ResourceScheduler
 from repro.simulator.network import FLOW_LATENCY_S
-from repro.trace.spans import (LINK_DATASVC_READ, SpanLink, TraceContext)
+from repro.trace.spans import LINK_DATASVC_READ, TraceContext
 
 __all__ = ["DataService", "StorageNode", "StoredBlock", "Replica",
            "block_checksum"]
@@ -509,13 +509,13 @@ class DataService:
                     and self._metrics is not None:
                 read.trace = trace
                 read.span_id = self._metrics.new_span_id()
-                self._metrics.record_link(SpanLink(
+                self._metrics.record_link(
                     from_span_id=read.span_id, to_span_id=span_id,
                     kind=LINK_DATASVC_READ, trace_id=trace.trace_id,
                     at=self.env.now,
                     detail=self._metrics.text(
                         "datasvc read on node {} -> fetch on machine {}",
-                        node.index, dst_machine_id)))
+                        node.index, dst_machine_id))
             node.submit_disk(read)
             yield read.done
         if nbytes > 0:

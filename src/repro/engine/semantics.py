@@ -123,13 +123,8 @@ def compute_task_work(descriptor: TaskDescriptor,
     shuffle_buckets: Optional[Dict[int, Partition]] = None
     if isinstance(output, ShuffleOutput):
         serialize_s = serialize_seconds(output_partition, output.fmt, cost)
-        buckets = output.partitioner.split(output_partition.records)
-        parts = output_partition.split_proportionally(buckets,
-                                                      own_records=True)
-        shuffle_buckets = {
-            index: part for index, part in enumerate(parts)
-            if part.record_count > 0 or part.records
-        }
+        shuffle_buckets = output_partition.shuffle_buckets(
+            output.partitioner.split(output_partition.records))
         output_stored_bytes = output.fmt.stored_bytes(
             output_partition.data_bytes)
     elif isinstance(output, DfsOutput):

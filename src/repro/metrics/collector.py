@@ -6,8 +6,8 @@ of every job (:mod:`repro.trace.spans`): it mints span ids, opens and
 closes job/stage/attempt spans, keeps each :class:`MonotaskRecord`
 self-report as one row of a column table (:mod:`repro.metrics.table`)
 that, when traced, is also the monotask's leaf span in ``spans``, and
-records causal links (DAG edges, shuffle fetches, queue waits, retries,
-speculation).  An attached sink
+keeps causal links (DAG edges, shuffle fetches, queue waits, retries,
+speculation) as rows of a second one.  An attached sink
 (:class:`~repro.xray.capsule.RunRecorder`) streams spans out as they
 close into a run capsule, and a loaded
 :class:`~repro.xray.capsule.Capsule` is a collector refilled from that
@@ -25,8 +25,8 @@ from repro.metrics.events import (CPU, DISK, NETWORK, Event, JobRecord,
                                   MonotaskRecord, ResourceUsageRecord,
                                   ServeRecord, SpeculationRecord,
                                   TransferRecord)
-from repro.metrics.table import (ROW, MonotaskRows, MonotaskTable, SpanList,
-                                 job_trace_id)
+from repro.metrics.table import (ROW, LinkTable, MonotaskTable, SpanList,
+                                 TableRows, job_trace_id)
 from repro.trace.spans import (LINK_DAG_EDGE, LINK_QUEUE_WAIT,
                                LINK_REDISPATCH, LINK_RETRY,
                                LINK_SPECULATION, SPAN_ATTEMPT, SPAN_JOB,
@@ -45,7 +45,7 @@ class MetricsCollector:
         #: Every monotask report, one row each, in record order.
         self.monotask_table = MonotaskTable()
         #: The same reports read as records (built on read).
-        self.monotasks = MonotaskRows(self.monotask_table)
+        self.monotasks = TableRows(self.monotask_table)
         self.resource_usage: List[ResourceUsageRecord] = []
         #: Finished task-attempt spans, in the order they closed.
         self.attempts: List[SpanRecord] = []
@@ -61,15 +61,16 @@ class MetricsCollector:
         #: row sits here as the ``ROW`` marker and reads as its record.
         self._span_entries: List = []
         self.spans = SpanList(self._span_entries, self.monotask_table)
-        #: Causal links between spans, in record order.
-        self.links: List[SpanLink] = []
+        #: Causal links between spans, one row each, in record order.
+        self.link_table = LinkTable()
+        #: The same links read as :class:`SpanLink`s (built on read).
+        self.links = TableRows(self.link_table)
         # Per-key views maintained at record time, so per-job queries
         # read only that job's records instead of scanning the full
         # history (which is quadratic over a long serving run).  A
         # trace's list holds ``ROW`` for each of its traced monotask
         # rows, which are its job's traced rows in order.
         self._spans_by_trace: Dict[str, List] = {}
-        self._links_by_trace: Dict[str, List[SpanLink]] = {}
         #: job -> its monotask rows, ascending.
         self._rows_by_job: Dict[int, array] = {}
         #: The last (job, trace id) a traced monotask passed the check
@@ -150,12 +151,18 @@ class MetricsCollector:
                 attrs["job_id"], {})[attrs["stage_id"]] = span
         self._span_finished(span)
 
-    def record_link(self, link: SpanLink) -> None:
-        """Append one causal link."""
-        self.links.append(link)
-        self._links_by_trace.setdefault(link.trace_id, []).append(link)
-        for sink in self._sinks:
-            sink.link_recorded(link)
+    def record_link(self, from_span_id: int, to_span_id: int, kind: str,
+                    trace_id: str, at: float = float("nan"),
+                    detail: str = "") -> None:
+        """File one causal link (:class:`SpanLink`'s fields) as a row;
+        the sinks get it as a :class:`SpanLink`."""
+        self.link_table.append(from_span_id, to_span_id, kind, trace_id, at,
+                               detail)
+        if self._sinks:
+            link = SpanLink(from_span_id, to_span_id, kind, trace_id, at,
+                            detail)
+            for sink in self._sinks:
+                sink.link_recorded(link)
 
     def _open_span(self, span: SpanRecord) -> SpanRecord:
         self._span_entries.append(span)
@@ -229,8 +236,8 @@ class MetricsCollector:
         return self.monotask_table.scan(self._rows_by_job.get(job_id, ()))
 
     def links_for_job(self, job_id: int) -> List[SpanLink]:
-        """All causal links of one job's trace."""
-        return list(self._links_by_trace.get(self.job_trace_id(job_id), ()))
+        """All causal links of one job's trace, in record order."""
+        return self.link_table.trace_links(job_trace_id(job_id))
 
     # -- recording ----------------------------------------------------------------
 
@@ -272,12 +279,11 @@ class MetricsCollector:
             for sink in self._sinks:
                 sink.span_finished(record)
         if record.queue_s > 0:
-            self.record_link(SpanLink(
-                from_span_id=trace.span_id, to_span_id=span_id,
-                kind=LINK_QUEUE_WAIT, trace_id=trace_id,
-                at=record.start,
-                detail=self.text("{} queue {:.6f}s", record.resource,
-                                 record.queue_s)))
+            self.record_link(
+                trace.span_id, span_id, LINK_QUEUE_WAIT, trace_id,
+                record.start,
+                self.text("{} queue {:.6f}s", record.resource,
+                          record.queue_s))
 
     def _check_trace(self, job_id: int, trace_id: str) -> None:
         """Refuse a monotask traced outside its job's trace: its row is
@@ -343,12 +349,12 @@ class MetricsCollector:
         for parent_stage in sorted(parent_stage_ids or ()):
             parent_span = job_stages.get(parent_stage)
             if parent_span is not None:
-                self.record_link(SpanLink(
+                self.record_link(
                     from_span_id=parent_span.span_id,
                     to_span_id=span.span_id, kind=LINK_DAG_EDGE,
                     trace_id=trace_id, at=now,
                     detail=self.text("stage {} -> stage {}", parent_stage,
-                                     stage_id)))
+                                     stage_id))
         return TraceContext(trace_id=trace_id, span_id=span.span_id,
                             parent_id=parent)
 
@@ -443,11 +449,11 @@ class MetricsCollector:
                 kind = LINK_SPECULATION
             else:
                 kind = LINK_RETRY
-            self.record_link(SpanLink(
+            self.record_link(
                 from_span_id=previous.span_id, to_span_id=span.span_id,
                 kind=kind, trace_id=trace_id, at=now,
                 detail=cause or self.text("attempt {} on machine {}",
-                                          attempt, machine_id)))
+                                          attempt, machine_id))
         last[key] = span
         return TraceContext(trace_id=trace_id, span_id=span.span_id,
                             parent_id=parent)

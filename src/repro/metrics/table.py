@@ -1,16 +1,19 @@
-"""Monotask self-reports stored as rows of typed columns.
+"""Monotask self-reports and causal links stored as rows of typed
+columns.
 
 A serving run is meant to keep every monotask's report for good (§6.1:
 the reports *are* the measurement), so the collector keeps each one as
 one row of :mod:`array` columns, not as a :class:`MonotaskRecord`
 object: a row costs about 80 bytes where the object and its floats cost
-about 350.  Readers see records all the same.  ``metrics.monotasks`` is
-a :class:`MonotaskRows` view, and a traced row's leaf span sits in the
-span lists as the shared :data:`ROW` marker (:class:`SpanList`): the
-k-th marker of a list is the k-th traced row behind it.  Both build an
-equal :class:`MonotaskRecord` on read.  The per-job hot readers
-(critical paths, stage profiles, health estimators) read the columns
-or plain tuples instead.
+about 350.  Causal links are kept the same way (:class:`LinkTable`),
+about 40 bytes a link, and so is each monotask span a loaded capsule
+holds.  Readers see records all the same.  ``metrics.monotasks`` and
+``metrics.links`` are :class:`TableRows` views, and a traced row's leaf
+span sits in the span lists as the shared :data:`ROW` marker
+(:class:`SpanList`): the k-th marker of a list is the k-th traced row
+behind it.  They build an equal record on read.  The per-job hot
+readers (critical paths, stage profiles, health estimators) read the
+columns or plain tuples instead.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from itertools import islice
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
                     Union)
 
-from repro.metrics.events import MonotaskRecord
-from repro.trace.spans import SpanRecord
+from repro.metrics.events import _NO_ATTRS, MonotaskRecord
+from repro.trace.spans import SPAN_MONOTASK, SpanLink, SpanRecord
 
-__all__ = ["ROW", "MonotaskTable", "MonotaskRows", "SpanList",
+__all__ = ["ROW", "MonotaskTable", "LinkTable", "TableRows", "SpanList",
            "job_trace_id"]
 
 
@@ -33,6 +36,9 @@ __all__ = ["ROW", "MonotaskTable", "MonotaskRows", "SpanList",
 ROW = object()
 
 _NO_COSTS = (0.0, 0.0, 0.0)
+
+#: Kinds a monotask table can code: ``2 * kind + 1`` fits an ``H``.
+_MAX_KINDS = 1 << 15
 
 
 def job_trace_id(job_id: int) -> str:
@@ -47,19 +53,20 @@ class MonotaskTable:
     has a few dozen) with a traced bit: ``2 * kind + traced``.  A kind
     is the resource, the phase, the disk index, the number types of
     ``nbytes`` and of the three compute costs (so a byte count or cost
-    filed as an ``int`` reads back as one and serializes the same), and
-    whether the row has compute costs.  A traced row is its job's leaf
-    span, under the job's trace; an untraced row keeps the record
-    defaults (span id 0, no parent).  Compute costs live in three
-    columns of their own with the row each belongs to, so a row without
-    costs pays nothing for them.  Times are kept as floats, the engine
-    clock's type.
+    filed as an ``int`` reads back as one and serializes the same),
+    whether the row has compute costs, and whether the row is a loaded
+    capsule's monotask span rather than a report (:meth:`append_span`).
+    A traced row is its job's leaf span, under the job's trace; an
+    untraced row keeps the record defaults (span id 0, no parent).
+    Compute costs live in three columns of their own with the row each
+    belongs to, so a row without costs pays nothing for them.  Times
+    are kept as floats, the engine clock's type.
     """
 
     __slots__ = ("job_id", "stage_id", "task_index", "machine_id", "code",
                  "start", "end", "queue_s", "nbytes", "span_id",
                  "parent_id", "kinds", "_kind_codes", "cost_rows",
-                 "deserialize_s", "op_s", "serialize_s")
+                 "deserialize_s", "op_s", "serialize_s", "span_traces")
 
     def __init__(self) -> None:
         self.job_id = array("q")
@@ -74,7 +81,8 @@ class MonotaskTable:
         self.span_id = array("q")
         self.parent_id = array("q")
         #: (resource, phase, disk_index, nbytes type, deserialize_s
-        #: type, op_s type, serialize_s type, has costs) per kind code.
+        #: type, op_s type, serialize_s type, has costs, loaded span)
+        #: per kind code.
         self.kinds: List[Tuple] = []
         self._kind_codes: Dict[Tuple, int] = {}
         #: Ascending rows that carry compute costs, and the costs.
@@ -82,6 +90,9 @@ class MonotaskTable:
         self.deserialize_s = array("d")
         self.op_s = array("d")
         self.serialize_s = array("d")
+        #: job -> the trace id object its loaded span rows read back
+        #: with (:meth:`append_span`).
+        self.span_traces: Dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.code)
@@ -106,7 +117,7 @@ class MonotaskTable:
             self.serialize_s.append(serialize_s)
         key = (record.resource, record.phase, record.disk_index,
                type(nbytes), type(deserialize_s), type(op_s),
-               type(serialize_s), costed)
+               type(serialize_s), costed, False)
         kind = self._kind_codes.get(key)
         if kind is None:
             kind = self._kind_codes[key] = len(self.kinds)
@@ -129,6 +140,43 @@ class MonotaskTable:
             self.parent_id.append(parent_id)
         return row
 
+    def append_span(self, job_id: int, trace_id: str, span_id: int,
+                    parent_id: int, machine_id: int, start: float,
+                    end: float, queue_s: float, nbytes: float,
+                    resource: str, phase: str,
+                    disk_index: Optional[int]) -> int:
+        """Add a loaded capsule's monotask span as a traced row of job
+        ``job_id``, whose trace id is ``trace_id``; returns its row, or
+        -1 (nothing added) when the table has no kind code left for it.
+
+        The row reads back as the :class:`SpanRecord` the span line
+        holds: named after its phase, its disk index an attr, its trace
+        id the first object the job's rows were added with.  It has no
+        stage, task or costs: a capsule carries spans, not reports.
+        """
+        key = (resource, phase, disk_index, type(nbytes), float, float,
+               float, False, True)
+        kind = self._kind_codes.get(key)
+        if kind is None:
+            if len(self.kinds) >= _MAX_KINDS:
+                return -1
+            kind = self._kind_codes[key] = len(self.kinds)
+            self.kinds.append(key)
+        self.span_traces.setdefault(job_id, trace_id)
+        row = len(self.code)
+        self.job_id.append(job_id)
+        self.stage_id.append(-1)
+        self.task_index.append(-1)
+        self.machine_id.append(machine_id)
+        self.start.append(start)
+        self.end.append(end)
+        self.queue_s.append(queue_s)
+        self.nbytes.append(nbytes)
+        self.code.append(2 * kind + 1)
+        self.span_id.append(span_id)
+        self.parent_id.append(parent_id)
+        return row
+
     def _costs(self, row: int) -> Tuple[float, float, float]:
         """(deserialize_s, op_s, serialize_s) of a row that has costs."""
         index = bisect_left(self.cost_rows, row)
@@ -143,12 +191,24 @@ class MonotaskTable:
             rows = range(len(code))
         return (row for row in rows if code[row] & 1)
 
-    def record(self, row: int) -> MonotaskRecord:
+    def record(self, row: int) -> SpanRecord:
         """The row as the record it was filed from, span identity
-        stamped when traced."""
+        stamped when traced; a loaded span's row as its span."""
         (resource, phase, disk_index, nbytes_type, deserialize_type,
-         op_type, serialize_type, costed) = self.kinds[self.code[row] >> 1]
+         op_type, serialize_type, costed, loaded) = \
+            self.kinds[self.code[row] >> 1]
         job_id = self.job_id[row]
+        if loaded:
+            return SpanRecord(
+                span_id=self.span_id[row],
+                trace_id=self.span_traces[job_id],
+                parent_id=self.parent_id[row], kind=SPAN_MONOTASK,
+                name=phase, start=self.start[row], end=self.end[row],
+                machine_id=self.machine_id[row], resource=resource,
+                phase=phase, queue_s=self.queue_s[row],
+                nbytes=nbytes_type(self.nbytes[row]),
+                attrs=(_NO_ATTRS if disk_index is None
+                       else {"disk_index": disk_index}))
         deserialize_s, op_s, serialize_s = (self._costs(row) if costed
                                             else _NO_COSTS)
         if self.code[row] & 1:
@@ -212,8 +272,89 @@ class MonotaskTable:
         return out
 
 
-class MonotaskRows(Sequence):
-    """``metrics.monotasks``: every report as a record, in record order.
+class LinkTable:
+    """Every causal link of a run, one row each, in record order.
+
+    ``from_id``, ``to_id`` and ``at`` are columns; ``kind``, ``trace``
+    and ``detail`` hold small-int codes into :attr:`kinds`,
+    :attr:`traces` and :attr:`details`, lists of the values a run
+    repeats.  A kind code also keeps the number type of ``at``, so an
+    ``int`` reads back and serializes as one; NaN means no ``at``.
+    :attr:`trace_rows` lists each trace's rows, ascending, for the
+    per-job reader.
+    """
+
+    __slots__ = ("from_id", "to_id", "at", "kind", "trace", "detail",
+                 "kinds", "_kind_codes", "traces", "_trace_codes",
+                 "trace_rows", "details", "_detail_codes")
+
+    def __init__(self) -> None:
+        self.from_id = array("q")
+        self.to_id = array("q")
+        self.at = array("d")
+        self.kind = array("I")
+        self.trace = array("I")
+        self.detail = array("I")
+        #: (link kind, type of ``at``) per kind code.
+        self.kinds: List[Tuple[str, type]] = []
+        self._kind_codes: Dict[Tuple[str, type], int] = {}
+        self.traces: List[str] = []
+        self._trace_codes: Dict[str, int] = {}
+        self.trace_rows: List[array] = []
+        self.details: List[str] = []
+        self._detail_codes: Dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def append(self, from_span_id: int, to_span_id: int, kind: str,
+               trace_id: str, at: float, detail: str) -> int:
+        """Add one link; returns its row."""
+        key = (kind, type(at))
+        kind_code = self._kind_codes.get(key)
+        if kind_code is None:
+            kind_code = self._kind_codes[key] = len(self.kinds)
+            self.kinds.append(key)
+        trace = self._trace_codes.get(trace_id)
+        if trace is None:
+            trace = self._trace_codes[trace_id] = len(self.traces)
+            self.traces.append(trace_id)
+            self.trace_rows.append(array("I"))
+        detail_code = self._detail_codes.get(detail)
+        if detail_code is None:
+            detail_code = self._detail_codes[detail] = len(self.details)
+            self.details.append(detail)
+        row = len(self.kind)
+        self.from_id.append(from_span_id)
+        self.to_id.append(to_span_id)
+        self.at.append(at)
+        self.kind.append(kind_code)
+        self.trace.append(trace)
+        self.detail.append(detail_code)
+        self.trace_rows[trace].append(row)
+        return row
+
+    def record(self, row: int) -> SpanLink:
+        """The row as the link it was filed as."""
+        kind, at_type = self.kinds[self.kind[row]]
+        return SpanLink(from_span_id=self.from_id[row],
+                        to_span_id=self.to_id[row], kind=kind,
+                        trace_id=self.traces[self.trace[row]],
+                        at=at_type(self.at[row]),
+                        detail=self.details[self.detail[row]])
+
+    def trace_links(self, trace_id: str) -> List[SpanLink]:
+        """The links of one trace, in record order."""
+        trace = self._trace_codes.get(trace_id)
+        if trace is None:
+            return []
+        record = self.record
+        return [record(row) for row in self.trace_rows[trace]]
+
+
+class TableRows(Sequence):
+    """``metrics.monotasks`` and ``metrics.links``: every row of a table
+    as its record, in record order.
 
     Records are built on read: indexing and iteration give records equal
     to the ones filed, a slice gives a list of them.
@@ -221,7 +362,7 @@ class MonotaskRows(Sequence):
 
     __slots__ = ("_table",)
 
-    def __init__(self, table: MonotaskTable) -> None:
+    def __init__(self, table) -> None:
         self._table = table
 
     def __len__(self) -> int:
@@ -235,22 +376,22 @@ class MonotaskRows(Sequence):
         if index < 0:
             index += len(self._table)
         if not 0 <= index < len(self._table):
-            raise IndexError("monotask row out of range")
+            raise IndexError("table row out of range")
         return self._table.record(index)
 
-    def __iter__(self) -> Iterator[MonotaskRecord]:
+    def __iter__(self) -> Iterator:
         record = self._table.record
         return (record(row) for row in range(len(self._table)))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (MonotaskRows, list, tuple)):
+        if isinstance(other, (TableRows, list, tuple)):
             return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"MonotaskRows({len(self)} rows)"
+        return f"TableRows({len(self)} rows)"
 
 
 class SpanList(Sequence):

@@ -23,7 +23,7 @@ from repro.metrics.events import (CPU, DISK, NETWORK, MonotaskRecord,
                                   PHASE_SHUFFLE_SERVE, TransferRecord)
 from repro.simulator import Environment, Event
 from repro.simulator.network import FLOW_LATENCY_S
-from repro.trace.spans import LINK_SHUFFLE_FETCH, SpanLink, TraceContext
+from repro.trace.spans import LINK_SHUFFLE_FETCH, TraceContext
 
 if TYPE_CHECKING:
     from repro.monospark.worker import MonoWorker
@@ -268,13 +268,13 @@ class _MachineFetch:
                 # the trace (and renderable as a Perfetto flow).
                 read.trace = fetch.trace
                 read.span_id = engine.metrics.new_span_id()
-                engine.metrics.record_link(SpanLink(
+                engine.metrics.record_link(
                     from_span_id=read.span_id, to_span_id=fetch.span_id,
                     kind=LINK_SHUFFLE_FETCH, trace_id=fetch.trace.trace_id,
                     at=fetch.env.now,
                     detail=engine.metrics.text(
                         "serve read on machine {} -> fetch on machine {}",
-                        machine_id, fetch.worker.machine.machine_id)))
+                        machine_id, fetch.worker.machine.machine_id))
             remote_worker.submit_ready(read)
             reads.append(read.done)
         if reads:

@@ -32,13 +32,17 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CapsuleError, ModelError
 from repro.jsonl import JsonlWriter
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import _NO_ATTRS, JobRecord, ServeRecord
-from repro.trace.spans import SpanLink, SpanRecord, link_to_json, span_to_json
+from repro.metrics.events import (_NO_ATTRS, CPU, DISK, NETWORK, JobRecord,
+                                  ServeRecord)
+from repro.metrics.table import ROW, MonotaskTable, TableRows, job_trace_id
+from repro.trace.spans import (SPAN_MONOTASK, SpanLink, SpanRecord,
+                               link_to_json, span_to_json)
 
 __all__ = ["CAPSULE_SCHEMA", "KNOWN_SCHEMAS", "RunRecorder", "Capsule"]
 
@@ -66,6 +70,35 @@ _SERVE_FIELDS = ("tenant", "template", "arrival", "job_id", "dispatched",
 #: same-seed capsules that CI pins.
 WALL_CLOCK_METRICS = ("repro_obs_self_overhead_ms_per_s",)
 
+#: Parses one line; the loader checks for trailing data itself.
+_decode = json.JSONDecoder().raw_decode
+
+#: Bounds of the table columns a loaded value must fit: span ids and
+#: job ids (``q``), machine ids (``i``), and ``int`` values kept in a
+#: float column, which must convert exactly.
+_Q = 1 << 63
+_I = 1 << 31
+_EXACT = 1 << 53
+
+
+def _fits(value, bound: int) -> bool:
+    """``value`` is an ``int`` (not a bool) in ``[-bound, bound)``."""
+    return type(value) is int and -bound <= value < bound
+
+
+def _trace_job(trace_id: str) -> Optional[int]:
+    """N for a ``job-N`` trace id (as :func:`job_trace_id` spells it),
+    None for any other."""
+    if not trace_id.startswith("job-"):
+        return None
+    try:
+        job_id = int(trace_id[4:])
+    except ValueError:
+        return None
+    if not _fits(job_id, _Q) or job_trace_id(job_id) != trace_id:
+        return None
+    return job_id
+
 
 def _serve_to_json(record: ServeRecord) -> Dict[str, Any]:
     line: Dict[str, Any] = {"type": "serve"}
@@ -91,17 +124,6 @@ def _span_from_json(line: Dict[str, Any],
         phase=share(phase, phase), queue_s=line.get("queue_s", 0.0),
         nbytes=line.get("nbytes", 0.0),
         attrs=line.get("attrs") or _NO_ATTRS)
-
-
-def _link_from_json(line: Dict[str, Any],
-                    strings: Dict[str, str]) -> SpanLink:
-    share = strings.setdefault
-    kind, trace_id = line["kind"], line["trace_id"]
-    detail = line.get("detail", "")
-    return SpanLink(
-        from_span_id=line["from"], to_span_id=line["to"],
-        kind=share(kind, kind), trace_id=share(trace_id, trace_id),
-        at=line.get("at", float("nan")), detail=share(detail, detail))
 
 
 def _job_to_json(record: JobRecord) -> Dict[str, Any]:
@@ -230,15 +252,20 @@ class Capsule(MetricsCollector):
     """A loaded run capsule, queryable without re-simulation.
 
     A :class:`~repro.metrics.collector.MetricsCollector` filled from
-    the file: :meth:`load` replays spans, links and serve records
-    through ``record_span``, ``record_link`` and ``record_serve``, so
-    the per-job span and stage queries and the cached critical paths
-    are the collector's own.  Spans are written as they close, so the
+    the file: :meth:`load` files each monotask span line as a traced
+    row of the monotask table, the way a live report is filed, and
+    replays the other spans, the links and the serve records through
+    ``record_span``, ``record_link`` and ``record_serve``, so the
+    per-job span and stage queries and the cached critical paths are
+    the collector's own.  Spans are written as they close, so the
     attempt spans land in ``attempts`` in the live collector's order.
+    A capsule carries spans, not monotask reports: ``monotasks`` is
+    empty, and the report readers find none.
     """
 
     def __init__(self) -> None:
         super().__init__()
+        self.monotasks = TableRows(MonotaskTable())
         self.path = ""
         self.header: Dict[str, Any] = {}
         self.manifest: Dict[str, Any] = {}
@@ -286,6 +313,19 @@ class Capsule(MetricsCollector):
             f"capsule {self.path} carries no monotask records, so job "
             f"{job_id} has no stage profiles")
 
+    def stage_monotasks(self, job_id: int, stage_id: Optional[int] = None
+                        ) -> list:
+        """Always empty: a capsule carries no monotask records."""
+        return []
+
+    def monotask_scan(self, job_id: int) -> list:
+        """Always empty: a capsule carries no monotask records."""
+        return []
+
+    def queue_seconds_by_resource(self, job_ids=None) -> Dict[str, float]:
+        """All zero: a capsule carries no monotask records."""
+        return {CPU: 0.0, DISK: 0.0, NETWORK: 0.0}
+
     def completed_jobs(self) -> List[ServeRecord]:
         """Serve records of completed, traced requests, arrival order."""
         return [record for record in self.serves
@@ -298,24 +338,29 @@ class Capsule(MetricsCollector):
     def load(cls, path: str) -> "Capsule":
         """Parse and validate one capsule file.
 
-        Raises :class:`~repro.errors.CapsuleError` on a missing or
-        unknown schema version, a missing header or manifest, or
-        manifest counts or a manifest line total that disagree with the
-        lines actually present.
+        Raises :class:`~repro.errors.CapsuleError` on a line that is not
+        one JSON value, a missing or unknown schema version, a missing
+        header or manifest, a link line whose fields do not fit a link
+        row, or manifest counts or a manifest line total that disagree
+        with the lines actually present.
 
         Parsing allocates many objects and drops no cycles, so the
         cyclic collector is paused for the duration (and left as found,
-        like :meth:`~repro.simulator.core.Environment.run`).  Each
-        distinct span or link string value -- trace ids, kinds, names,
-        resources, phases, details -- becomes one shared object, through
-        a dict that lives only for this call.  A span line's parsed
-        ``attrs`` dict becomes the span's own; a span line without
-        attrs gets the read-only empty mapping monotask records share.
+        like :meth:`~repro.simulator.core.Environment.run`).  A monotask
+        span line becomes a table row when it fits one
+        (:meth:`_file_monotask`), and every link line a link row, whose
+        table keeps each link string once.  Each distinct span string
+        value -- trace ids, kinds, names, resources, phases -- becomes
+        one shared object, through a dict that lives only for this call.
+        Any other span line's parsed ``attrs`` dict becomes the span's
+        own; one without attrs gets the read-only empty mapping monotask
+        records share.
         """
         capsule = cls()
         capsule.path = path
         counts: Dict[str, int] = {}
-        strings: Dict[str, str] = {}
+        strings: Dict[str, str] = {SPAN_MONOTASK: SPAN_MONOTASK}
+        trace_jobs: Dict[str, Optional[int]] = {}
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -325,11 +370,16 @@ class Capsule(MetricsCollector):
                     if not raw:
                         continue
                     try:
-                        line = json.loads(raw)
+                        line, end = _decode(raw)
                     except ValueError as exc:
                         raise CapsuleError(
                             f"{path}:{index + 1}: not JSON: {exc}") from exc
-                    capsule._ingest(path, index, line, counts, strings)
+                    if end != len(raw):
+                        raise CapsuleError(
+                            f"{path}:{index + 1}: not JSON: extra data "
+                            f"from column {end + 1}")
+                    capsule._ingest(path, index, line, counts, strings,
+                                    trace_jobs)
         finally:
             if collecting:
                 gc.enable()
@@ -352,7 +402,8 @@ class Capsule(MetricsCollector):
         return capsule
 
     def _ingest(self, path: str, index: int, line: Dict[str, Any],
-                counts: Dict[str, int], strings: Dict[str, str]) -> None:
+                counts: Dict[str, int], strings: Dict[str, str],
+                trace_jobs: Dict[str, Optional[int]]) -> None:
         schema = line.get("schema")
         if schema not in KNOWN_SCHEMAS:
             raise CapsuleError(
@@ -373,10 +424,11 @@ class Capsule(MetricsCollector):
             self.manifest = line
             return
         if kind == "span":
-            self.record_span(_span_from_json(line, strings))
+            if not self._file_monotask(line, strings, trace_jobs):
+                self.record_span(_span_from_json(line, strings))
             self._body.append("span")
         elif kind == "link":
-            self.record_link(_link_from_json(line, strings))
+            self._file_link(path, index, line)
             self._body.append("link")
         elif kind == "serve":
             record = _serve_from_json(line)
@@ -401,6 +453,84 @@ class Capsule(MetricsCollector):
             else:
                 self.summary = payload
             self._body.append((kind, payload))
+
+    def _file_monotask(self, line: Dict[str, Any], strings: Dict[str, str],
+                       trace_jobs: Dict[str, Optional[int]]) -> bool:
+        """File a monotask span line as a traced row of its job, as a
+        live traced report is filed; False (nothing filed) when the line
+        does not fit a row.
+
+        It fits when its trace is ``job-N``, its name is its phase, its
+        ids and machine are ints, its times and queue time floats, it
+        is finished, and its attrs are empty or hold only an int
+        ``disk_index``: then the row reads back as the span the line
+        holds (:meth:`~repro.metrics.table.MonotaskTable.append_span`).
+        Its trace id, resource and phase are shared through ``strings``
+        as the other spans' are; ``trace_jobs`` caches each trace id's
+        job (None: not a job's).
+        """
+        if line["kind"] != SPAN_MONOTASK:
+            return False
+        trace_id = line["trace_id"]
+        if type(trace_id) is not str:
+            return False
+        if trace_id not in trace_jobs:
+            trace_jobs[trace_id] = _trace_job(trace_id)
+        job_id = trace_jobs[trace_id]
+        if job_id is None:
+            return False
+        attrs = line.get("attrs")
+        disk_index = None
+        if attrs:
+            if type(attrs) is not dict or len(attrs) != 1:
+                return False
+            disk_index = attrs.get("disk_index")
+            if type(disk_index) is not int:
+                return False
+        span_id, parent_id = line["span_id"], line["parent_id"]
+        start, end = line["start"], line["end"]
+        machine_id = line["machine_id"]
+        resource, phase = line.get("resource", ""), line.get("phase", "")
+        queue_s, nbytes = line.get("queue_s", 0.0), line.get("nbytes", 0.0)
+        if not (line["name"] == phase and type(phase) is str
+                and type(resource) is str and _fits(span_id, _Q)
+                and _fits(parent_id, _Q) and _fits(machine_id, _I)
+                and type(start) is float and type(end) is float
+                and end == end and type(queue_s) is float
+                and (type(nbytes) is float or _fits(nbytes, _EXACT))):
+            return False
+        share = strings.setdefault
+        trace_id = share(trace_id, trace_id)
+        row = self.monotask_table.append_span(
+            job_id, trace_id, span_id, parent_id, machine_id, start, end,
+            queue_s, nbytes, share(resource, resource), share(phase, phase),
+            disk_index)
+        if row < 0:
+            return False
+        rows = self._rows_by_job.get(job_id)
+        if rows is None:
+            rows = self._rows_by_job[job_id] = array("I")
+        rows.append(row)
+        self._span_entries.append(ROW)
+        self._spans_by_trace.setdefault(trace_id, []).append(ROW)
+        return True
+
+    def _file_link(self, path: str, index: int,
+                   line: Dict[str, Any]) -> None:
+        """File a link line as a link row; raises :class:`CapsuleError`
+        when its fields do not fit one."""
+        from_id, to_id, kind = line["from"], line["to"], line["kind"]
+        trace_id = line["trace_id"]
+        at, detail = line.get("at", float("nan")), line.get("detail", "")
+        if not (_fits(from_id, _Q) and _fits(to_id, _Q)
+                and type(kind) is str and type(trace_id) is str
+                and type(detail) is str
+                and (type(at) is float or _fits(at, _EXACT))):
+            raise CapsuleError(
+                f"{path}:{index + 1}: link line does not fit a link row: "
+                f"span ids must be ints, at a number, kind, trace_id and "
+                f"detail strings")
+        self.record_link(from_id, to_id, kind, trace_id, at, detail)
 
     def save(self, path: str) -> None:
         """Re-serialize from the *parsed* objects (not raw lines).

@@ -1,6 +1,7 @@
 """Unit tests for physical operators and partitioners."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api.ops import (CoGroupOp, CombineByKeyOp, FilterOp, FlatMapOp,
                            GroupByKeyOp, JoinFlattenOp, MapOp,
@@ -8,6 +9,16 @@ from repro.api.ops import (CoGroupOp, CombineByKeyOp, FilterOp, FlatMapOp,
 from repro.api.partitioners import HashPartitioner, RangePartitioner
 from repro.datamodel import Partition
 from repro.errors import PlanError
+
+
+#: Keys a hash partitioner routes: ASCII and non-ASCII strings (few,
+#: so they repeat), ints, finite floats and bools.
+SPLIT_KEYS = st.one_of(
+    st.sampled_from(["a", "key-1", "", "\u00e9t\u00e9", "\u6570\u636e",
+                     "1"]),
+    st.text(max_size=6), st.integers(-2 ** 40, 2 ** 40),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.booleans())
 
 
 def part(records, count=None, nbytes=None):
@@ -139,6 +150,22 @@ class TestHashPartitioner:
     def test_invalid_partition_count(self):
         with pytest.raises(PlanError):
             HashPartitioner(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.lists(st.one_of(
+        SPLIT_KEYS, st.tuples(SPLIT_KEYS, st.integers()),
+        st.tuples(st.tuples(SPLIT_KEYS, SPLIT_KEYS), st.none())),
+        max_size=60))
+    @example(7, [("1", 0), (1, 0), (1.0, 0), (True, 0), ("1", 1),
+                 ("\u00e9t\u00e9", 0), ("\u00e9t\u00e9", 1)])
+    def test_split_matches_partition(self, num_partitions, records):
+        # split inlines partition's routing; it must send every record
+        # where partition does, in record order.  Equal keys of other
+        # types (1, 1.0, True) hash differently.
+        p = HashPartitioner(num_partitions)
+        assert p.split(records) == [
+            [r for r in records if p.partition(r) == index]
+            for index in range(num_partitions)]
 
 
 class TestRangePartitioner:

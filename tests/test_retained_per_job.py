@@ -3,8 +3,19 @@
 import importlib.util
 import os
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scripts", "retained_per_job.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "retained_per_job.py")
+
+
+def source_line(site):
+    """The source line a ``repro/...:N`` site names ("" if none)."""
+    filename, lineno = site.rsplit(":", 1)
+    path = os.path.join(ROOT, "src", "repro", filename)
+    if not os.path.exists(path):
+        return ""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    return lines[int(lineno) - 1]
 
 
 def load_script():
@@ -26,9 +37,11 @@ def test_two_small_horizons():
     assert lines[0] == ("serve-bare: retained KiB per extra job "
                         "(12 extra jobs, scales 0.05 and 0.1, seed 0)")
     assert lines[-1].split() == [f"{sum(growth.values()):.2f}", "total"]
-    # The monotask reports are retained as table columns.
-    assert any(line.split()[1].startswith("metrics/table.py:")
-               for line in lines[1:-1])
+    # The monotask reports and links are retained as table columns:
+    # no listed site builds a SpanLink.
+    sites = [line.split()[1] for line in lines[1:-1]]
+    assert any(site.startswith("metrics/table.py:") for site in sites)
+    assert not [site for site in sites if "SpanLink(" in source_line(site)]
 
 
 def test_unknown_workload_is_a_usage_error(capsys):

@@ -178,6 +178,30 @@ def corrupt_copy(capsule, tmp_path):
     return str(path)
 
 
+class TestCapsuleLineErrors:
+    """Each line must hold exactly one JSON value; a damaged line raises
+    :class:`CapsuleError` naming its line number."""
+
+    @pytest.mark.parametrize("where, damage", [
+        (3, lambda text: text[:len(text) // 2]),
+        (3, lambda text: text + ' {"type":"span"}'),
+        (3, lambda text: text + "x"),
+        (3, lambda text: "\ufeff" + text),
+        (0, lambda text: "\ufeff" + text),
+    ], ids=["truncated", "trailing-object", "trailing-garbage", "bom",
+            "bom-first-line"])
+    def test_damaged_line_names_its_line(self, clean, tmp_path, where,
+                                         damage):
+        with open(clean.path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        index = len(lines) // where if where else 0
+        lines[index] = damage(lines[index])
+        path = tmp_path / "damaged.capsule"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CapsuleError, match=f":{index + 1}: not JSON"):
+            Capsule.load(str(path))
+
+
 class TestCapsuleLoadMemory:
     """``Capsule.load`` pauses the cyclic collector and shares repeated
     span and link strings, without changing what it parses."""
